@@ -1,8 +1,8 @@
 """Command-line front end: matrix/channel JSON I/O, divergence and
 certificate evaluation, and the seeded property-suite runners.
 
-Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
-(support/dimension) violation.
+Exit codes: 0 success, 1 suite failure, 2 parse error or invalid argument
+value, 3 precondition (support/dimension) violation.
 """
 
 from __future__ import annotations
@@ -399,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=float, default=2.0)
         if output:
             p.add_argument("--output", type=str, default=None)
-            p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("divergence", help="evaluate a divergence on two operators")
     p.add_argument("--kind", choices=["srd", "rre", "qre", "dmax"], required=True)
@@ -467,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", action="append", metavar="KEY=VAL", default=None
     )
     p.add_argument("--output", type=str, default=None)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser(
@@ -477,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=str, default=None)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_violation_search)
 
     return parser
@@ -500,6 +497,9 @@ def main(argv=None) -> int:
     except QRenyiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
 
 
 if __name__ == "__main__":

@@ -51,8 +51,10 @@ class RenyiOrder:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0) or self.alpha == 1.0:
-            raise ValueError(f"alpha must be positive and != 1, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf) or self.alpha == 1.0:
+            raise ValueError(
+                f"alpha must be positive, finite and != 1, got {self.alpha}"
+            )
 
     @property
     def gamma(self) -> float:
@@ -100,9 +102,8 @@ def classify_supports(
 
 
 def _supported_eigenvalues(m: np.ndarray, cutoff: float) -> np.ndarray:
-    evals = hermitian_eig(m).eigenvalues
-    lam_max = float(np.max(evals)) if evals.size else 0.0
-    return evals[evals > cutoff * max(1.0, lam_max)]
+    spec = hermitian_eig(m)
+    return spec.eigenvalues[spec.support_mask(cutoff)]
 
 
 def _trace_power_on_support(m: np.ndarray, p: float, cutoff: float) -> float:
@@ -148,7 +149,11 @@ def srd(
     cutoff: float = DEFAULT_CUTOFF,
 ) -> DivergenceValue:
     """Sandwiched Renyi divergence of order alpha (alpha = 1 is the
-    relative-entropy limit and dispatches exactly)."""
+    relative-entropy limit and dispatches exactly).
+
+    Raises ValueError when the trace functional underflows to 0, which
+    happens at extreme orders such as alpha = 1e-300.
+    """
     if alpha == 1.0:
         return qre(rho, sigma, cutoff)
     order = RenyiOrder(alpha)
@@ -156,6 +161,8 @@ def srd(
     if not _finite_case(alpha, case):
         return DivergenceValue(math.inf, case)
     q = _q_tilde_raw(rho, sigma, order, cutoff)
+    if q <= 0.0:
+        raise ValueError(f"trace functional underflows to {q} at alpha = {alpha}")
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
     value = math.log2(q / tr_rho) / (alpha - 1.0)
     return DivergenceValue(value, case)
@@ -325,8 +332,7 @@ def _fixed_point_step(
     """
     alpha = order.alpha
     spec = hermitian_eig(sigma_b)
-    lam_max = float(np.max(spec.eigenvalues))
-    keep = spec.eigenvalues > cutoff * max(1.0, lam_max)
+    keep = spec.support_mask(cutoff)
     if alpha > 1.0 and int(np.sum(keep)) < required_rank:
         return math.inf, None
     vals = np.zeros_like(spec.eigenvalues)
@@ -336,8 +342,7 @@ def _fixed_point_step(
     big = np.kron(np.eye(dim_a, dtype=np.complex128), s_g)
     x = hermitian_part(big @ rho_ab @ big)
     spec_x = hermitian_eig(x)
-    xmax = float(np.max(spec_x.eigenvalues))
-    keep_x = spec_x.eigenvalues > cutoff * max(1.0, xmax)
+    keep_x = spec_x.support_mask(cutoff)
     q = float(np.sum(spec_x.eigenvalues[keep_x] ** alpha))
     if q <= 0.0:
         return math.inf, None

@@ -158,7 +158,7 @@ def check_saturation_conditions(
     rho_a = state.marginal_a()
     spec = hermitian_eig(state.mat)
     lam_max = float(np.max(spec.eigenvalues))
-    keep = spec.eigenvalues > cutoff * max(1.0, lam_max)
+    keep = spec.support_mask(cutoff)
     lam = spec.eigenvalues[keep]
     vecs = spec.eigenvectors[:, keep]
     r = lam.size
@@ -257,8 +257,7 @@ def reof_minimize(
     ensemble.
     """
     spec = hermitian_eig(state.mat)
-    lam_max = float(np.max(spec.eigenvalues))
-    keep = np.where(spec.eigenvalues > cutoff * max(1.0, lam_max))[0][::-1]
+    keep = np.where(spec.support_mask(cutoff))[0][::-1]
     lam = spec.eigenvalues[keep]
     vecs = spec.eigenvectors[:, keep]
     r = lam.size
@@ -377,7 +376,5 @@ def fe_equality_check(
     rho_m = as_complex_matrix(rho)
     f_sq = fidelity(rho_m, apply(channel, rho_m)) ** 2
     f_e = entanglement_fidelity(rho_m, channel, cutoff=cutoff)
-    spec = hermitian_eig(rho_m)
-    lam_max = float(np.max(spec.eigenvalues))
-    rank = int(np.sum(spec.eigenvalues > cutoff * max(1.0, lam_max)))
+    rank = int(np.sum(hermitian_eig(rho_m).support_mask(cutoff)))
     return FeEqualityReport(f_sq - f_e, rank == 1, f_e, f_sq)

@@ -9,8 +9,8 @@ class NonHermitianInput(QRenyiError):
     """Input matrix fails the hermiticity check."""
 
 
-class NoConvergence(QRenyiError):
-    """An iterative routine exhausted its iteration budget."""
+class NonFiniteInput(QRenyiError):
+    """Input matrix has a NaN or infinite entry."""
 
 
 class NegativeEigenvalue(QRenyiError):

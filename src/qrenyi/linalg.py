@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NegativeEigenvalue,
-    NoConvergence,
+    NonFiniteInput,
     NonHermitianInput,
 )
 
@@ -27,12 +27,6 @@ HERMITICITY_TOL = 1e-9
 
 #: Relative eigenvalue cutoff defining numerical supports.
 DEFAULT_CUTOFF = 1e-10
-
-#: Jacobi sweep budget before giving up.
-_MAX_SWEEPS = 100
-
-#: Off-diagonal convergence target, relative to the initial entry scale.
-_OFF_DIAG_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -49,6 +43,15 @@ class Spectrum:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+    def support_threshold(self, cutoff: float = DEFAULT_CUTOFF) -> float:
+        """Eigenvalues at or below ``cutoff * max(1, lambda_max)`` count as 0."""
+        lam_max = float(np.max(self.eigenvalues)) if self.eigenvalues.size else 0.0
+        return cutoff * max(1.0, lam_max)
+
+    def support_mask(self, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+        """Keep mask of the eigenpairs spanning the numerical support."""
+        return self.eigenvalues > self.support_threshold(cutoff)
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,15 @@ def as_complex_matrix(a) -> np.ndarray:
 def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate hermiticity and return the symmetrized matrix.
 
-    Raises NonHermitianInput when ``max|A - A^dag|`` exceeds ``tol`` times
-    the max-entry magnitude of A.
+    Raises NonFiniteInput when an entry is NaN or infinite, and
+    NonHermitianInput when ``max|A - A^dag|`` exceeds ``tol`` times the
+    max-entry magnitude of A.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix is not square: shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
     scale = max_abs(m)
     defect = max_abs(m - m.conj().T)
     if defect > tol * max(scale, 1e-300):
@@ -100,68 +106,18 @@ def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+    """Eigendecomposition of a complex Hermitian matrix by LAPACK ``eigh``.
 
-    The input is hermiticity-checked and symmetrized first.  Rotations are
-    swept cyclically over the strict upper triangle until every off-diagonal
-    entry falls below ``1e-14`` of the initial entry scale.  Eigenvalues are
-    returned ascending; each eigenvector is phased so its largest-magnitude
-    entry is real positive, which makes the decomposition deterministic.
+    The input is checked (finite, Hermitian) and symmetrized first.
+    Eigenvalues are returned ascending; each eigenvector is phased so its
+    largest-magnitude entry is real positive, which makes the decomposition
+    deterministic.
     """
-    a = check_hermitian(h)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return Spectrum(a.real.reshape(1).copy(), v)
-
-    scale = max_abs(a)
-    if scale == 0.0:
-        return Spectrum(np.zeros(n), v)
-    tol = _OFF_DIAG_TOL * scale
-
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            row = a[p, p + 1 :]
-            if row.size:
-                off = max(off, float(np.max(np.abs(row))))
-        if off <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                ab = abs(b)
-                if ab <= tol * 1e-2:
-                    continue
-                # Diagonalize the 2x2 pivot block [[app, b], [conj(b), aqq]]:
-                # a phase folds b onto the real axis, then a real rotation.
-                phase = b.conjugate() / ab
-                phi = 0.5 * np.arctan2(2.0 * ab, a[p, p].real - a[q, q].real)
-                c = np.cos(phi)
-                s = np.sin(phi)
-                r = np.array(
-                    [[c, -s], [phase * s, phase * c]], dtype=np.complex128
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ r
-                a[[p, q], :] = r.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ r
-    if not converged:
-        raise NoConvergence(f"Jacobi sweep budget ({_MAX_SWEEPS}) exhausted")
-
-    evals = np.diag(a).real.copy()
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    v = v[:, order]
+    evals, v = np.linalg.eigh(check_hermitian(h))
     # Deterministic phases: largest-magnitude entry of each column real > 0.
-    idx = np.argmax(np.abs(v), axis=0)
-    anchors = v[idx, np.arange(n)]
-    v = v * (anchors.conjugate() / np.abs(anchors))
+    if v.size:
+        anchors = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        v = v * (anchors.conjugate() / np.abs(anchors))
     return Spectrum(evals, v)
 
 
@@ -184,12 +140,12 @@ def support_of(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> SupportInfo:
     """
     spec = hermitian_eig(a)
     _check_spectrum_positive(spec.eigenvalues, cutoff)
-    lam_max = float(np.max(spec.eigenvalues)) if spec.eigenvalues.size else 0.0
-    threshold = cutoff * max(1.0, lam_max)
-    keep = spec.eigenvalues > threshold
+    keep = spec.support_mask(cutoff)
     vk = spec.eigenvectors[:, keep]
     projector = vk @ vk.conj().T
-    return SupportInfo(int(np.sum(keep)), hermitian_part(projector), threshold)
+    return SupportInfo(
+        int(np.sum(keep)), hermitian_part(projector), spec.support_threshold(cutoff)
+    )
 
 
 def matrix_power_on_support(
@@ -201,18 +157,7 @@ def matrix_power_on_support(
     map to 0 (this clamps small negative roundoff).  ``p == 0`` returns the
     support projector.
     """
-    spec = hermitian_eig(a)
-    _check_spectrum_positive(spec.eigenvalues, cutoff)
-    lam_max = float(np.max(spec.eigenvalues)) if spec.eigenvalues.size else 0.0
-    threshold = cutoff * max(1.0, lam_max)
-    keep = spec.eigenvalues > threshold
-    vals = np.zeros_like(spec.eigenvalues)
-    if p == 0:
-        vals[keep] = 1.0
-    else:
-        vals[keep] = spec.eigenvalues[keep] ** p
-    v = spec.eigenvectors
-    return hermitian_part((v * vals) @ v.conj().T)
+    return matrix_function_on_support(a, lambda lam: lam**p, cutoff)
 
 
 def matrix_function_on_support(
@@ -221,9 +166,7 @@ def matrix_function_on_support(
     """Apply a scalar function to the supported eigenvalues, zero elsewhere."""
     spec = hermitian_eig(a)
     _check_spectrum_positive(spec.eigenvalues, cutoff)
-    lam_max = float(np.max(spec.eigenvalues)) if spec.eigenvalues.size else 0.0
-    threshold = cutoff * max(1.0, lam_max)
-    keep = spec.eigenvalues > threshold
+    keep = spec.support_mask(cutoff)
     vals = np.zeros_like(spec.eigenvalues)
     vals[keep] = fn(spec.eigenvalues[keep])
     v = spec.eigenvectors

@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEigenvalue
+from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_CUTOFF,
+    _check_spectrum_positive,
     as_complex_matrix,
     check_hermitian,
     hermitian_eig,
     hermitian_part,
-    max_abs,
     partial_trace,
     support_of,
 )
@@ -44,12 +44,7 @@ def _as_rng(seed) -> np.random.Generator:
 def check_positive(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
     """Validate positive semidefiniteness (up to -cutoff) and symmetrize."""
     m = check_hermitian(a)
-    evals = hermitian_eig(m).eigenvalues
-    abs_max = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if evals.size and float(np.min(evals)) < -cutoff * max(1.0, abs_max):
-        raise NegativeEigenvalue(
-            f"smallest eigenvalue {float(np.min(evals)):.3e} is negative"
-        )
+    _check_spectrum_positive(hermitian_eig(m).eigenvalues, cutoff)
     return m
 
 
@@ -143,9 +138,7 @@ def purify(rho: np.ndarray, cutoff: float = DEFAULT_CUTOFF):
     out H' recovers ``rho``.
     """
     spec = hermitian_eig(rho)
-    lam_max = float(np.max(spec.eigenvalues))
-    threshold = cutoff * max(1.0, lam_max)
-    keep = np.where(spec.eigenvalues > threshold)[0][::-1]  # descending
+    keep = np.where(spec.support_mask(cutoff))[0][::-1]  # descending
     d = rho.shape[0]
     r = len(keep)
     psi = np.zeros(d * r, dtype=np.complex128)
@@ -178,13 +171,6 @@ def random_pure(d: int, seed) -> np.ndarray:
     return v * (anchor.conjugate() / abs(anchor))
 
 
-def random_hermitian(d: int, seed) -> np.ndarray:
-    """Random Hermitian matrix with unit-scale Gaussian entries."""
-    rng = _as_rng(seed)
-    g = _complex_gaussian(rng, (d, d))
-    return hermitian_part(g)
-
-
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-ish random unitary via QR of a complex Gaussian matrix."""
     rng = _as_rng(seed)
@@ -196,7 +182,3 @@ def random_unitary(d: int, seed) -> np.ndarray:
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
-
-
-def max_entry_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return max_abs(np.asarray(a) - np.asarray(b))

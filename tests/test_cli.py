@@ -247,6 +247,28 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_PARSE_ERROR
 
+    def test_invalid_alpha_is_parse_error(self, capsys, tmp_path):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(matrix_to_doc(random_density(2, 2, 5), "state")))
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps(matrix_to_doc(random_density(2, 2, 6), "state")))
+        code = main(
+            [
+                "divergence",
+                "--kind",
+                "srd",
+                "--rho",
+                str(rho),
+                "--sigma",
+                str(sig),
+                "--alpha",
+                "-1",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_precondition_violation(self, capsys, tmp_path):
         rho = tmp_path / "rho.json"
         rho.write_text(json.dumps(matrix_to_doc(maximally_mixed(2), "state")))

@@ -69,7 +69,7 @@ class TestRenyiOrder:
     def test_dual(self, alpha, beta):
         assert RenyiOrder(alpha).dual_beta == pytest.approx(beta)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, 1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1.0, math.inf, math.nan])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             RenyiOrder(bad)
@@ -163,6 +163,13 @@ class TestDivergences:
         assert abs(srd(KET0, maximally_mixed(2), alpha).value - 1.0) < 1e-9
         if alpha <= 3.0:
             assert abs(rre(KET0, maximally_mixed(2), alpha).value - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [math.inf, 1e-300])
+    def test_extreme_order_raises_value_error(self, alpha):
+        rho = random_density(2, 2, 11)
+        sigma = random_density(2, 2, 12)
+        with pytest.raises(ValueError, match="alpha"):
+            srd(rho, sigma, alpha)
 
     def test_infinite_branch_above_one(self):
         dv = srd(maximally_mixed(2), KET0, 2.0)

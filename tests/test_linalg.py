@@ -1,7 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrenyi.errors import DimensionMismatch, NegativeEigenvalue, NonHermitianInput
+from qrenyi.errors import (
+    DimensionMismatch,
+    NegativeEigenvalue,
+    NonFiniteInput,
+    NonHermitianInput,
+)
 from qrenyi.linalg import (
     fidelity,
     hermitian_eig,
@@ -13,7 +22,7 @@ from qrenyi.linalg import (
     tensor,
     trace_norm,
 )
-from qrenyi.states import maximally_mixed, random_density, substream
+from qrenyi.states import maximally_mixed, random_density, random_unitary, substream
 
 from conftest import random_hermitian_from, random_psd_from
 
@@ -80,6 +89,82 @@ class TestHermitianEig:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(NonHermitianInput):
             hermitian_eig(np.zeros((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[1.0, 1j * np.inf], [-1j * np.inf, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                hermitian_eig(np.array(bad, dtype=complex))
+
+
+def _spectral_case(kind, d, seed, log_min):
+    """Hermitian test matrix of the named spectral shape; PSD unless random."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(d, rng)
+    if kind == "random":
+        return random_hermitian_from(rng, d)
+    if kind == "identity":
+        return 10.0**log_min * np.eye(d, dtype=complex)
+    if kind == "projector":
+        lam = (np.arange(d) < int(rng.integers(1, d + 1))).astype(float)
+    elif kind == "rank_deficient":
+        return random_psd_from(rng, d, rank=int(rng.integers(1, d + 1)))
+    else:  # graded: geometric from 1 down to 10**log_min
+        lam = np.logspace(0.0, log_min, d)
+    return (u * lam) @ u.conj().T
+
+
+spectral_cases = st.tuples(
+    st.sampled_from(["random", "identity", "projector", "rank_deficient", "graded"]),
+    st.integers(1, 32),
+    st.integers(0, 2**32 - 1),
+    st.floats(-8.0, 0.0),
+).map(lambda args: (args[0], _spectral_case(*args)))
+
+spectral_settings = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+
+class TestSpectralProperties:
+    @spectral_settings
+    @given(spectral_cases)
+    def test_eig_contract(self, case):
+        _, h = case
+        d = h.shape[0]
+        spec = hermitian_eig(h)
+        lam, v = spec.eigenvalues, spec.eigenvectors
+        assert np.all(np.diff(lam) >= 0.0)
+        assert max_abs(v.conj().T @ v - np.eye(d)) < 1e-12
+        assert max_abs(spec.reconstruct() - h) <= 1e-10 * max_abs(h)
+        mags = np.abs(v)
+        for j in range(d):
+            top = np.flatnonzero(mags[:, j] >= mags[:, j].max() * (1.0 - 1e-12))
+            anchors = v[top, j]
+            assert np.any((anchors.real > 0.0) & (np.abs(anchors.imag) <= 1e-15))
+
+    @spectral_settings
+    @given(spectral_cases)
+    def test_bit_identical_on_copy(self, case):
+        _, h = case
+        a, b = hermitian_eig(h), hermitian_eig(h.copy())
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    @spectral_settings
+    @given(spectral_cases.filter(lambda case: case[0] != "random"))
+    def test_rank_is_trace_of_zeroth_power(self, case):
+        _, a = case
+        rank = support_of(a).rank
+        assert abs(np.trace(matrix_power_on_support(a, 0)).real - rank) < 1e-9
 
 
 class TestSupport:
