@@ -12,13 +12,12 @@ from .errors import (
     IncompleteResolution,
 )
 from .linalg import (
-    DEFAULT_CUTOFF,
     as_complex_matrix,
-    hermitian_eig,
     hermitian_part,
     matrix_power_on_support,
     max_abs,
     partial_trace,
+    positive_spectrum,
     tensor,
 )
 from .states import _as_rng, _complex_gaussian, projector
@@ -254,7 +253,10 @@ def depolarizing(d: int, p: float = 1.0) -> QuantumChannel:
 
 
 def measurement_channel(povm, tol: float = TP_TOL) -> QuantumChannel:
-    """Measure-and-record channel ``omega -> sum_x tr(omega M_x) |x><x|``."""
+    """Measure-and-record channel ``omega -> sum_x tr(omega M_x) |x><x|``.
+
+    Raises NegativeEigenvalue when an element is not positive semidefinite.
+    """
     elements = [as_complex_matrix(m) for m in povm]
     d = elements[0].shape[0]
     total = sum(elements)
@@ -263,10 +265,8 @@ def measurement_channel(povm, tol: float = TP_TOL) -> QuantumChannel:
     n_out = len(elements)
     kraus = []
     for x, m in enumerate(elements):
-        spec = hermitian_eig(m)
-        for lam, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
-            if lam <= DEFAULT_CUTOFF:
-                continue
+        lams, vecs = positive_spectrum(m).supported()
+        for lam, vec in zip(lams, vecs.T):
             k = np.zeros((n_out, d), dtype=np.complex128)
             k[x, :] = np.sqrt(lam) * vec.conj()
             kraus.append(k)

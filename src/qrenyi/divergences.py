@@ -22,14 +22,14 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_CUTOFF,
+    Spectrum,
     as_complex_matrix,
     hermitian_eig,
     hermitian_part,
-    matrix_function_on_support,
     matrix_power_on_support,
     max_abs,
     partial_trace,
-    support_of,
+    positive_spectrum,
 )
 from .states import BipartiteState, projector, purify
 
@@ -90,25 +90,35 @@ def classify_supports(
     tol: float = SUPPORT_CLASSIFY_TOL,
 ) -> str:
     """Classify supp(rho) against supp(sigma): contained / overlapping / disjoint."""
-    p_rho = support_of(rho, cutoff).projector
-    p_sig = support_of(sigma, cutoff).projector
-    overlap = float(np.trace(p_rho @ p_sig).real)
-    leak = float(np.trace(p_rho).real) - overlap
+    return _classified_spectra(rho, sigma, cutoff, tol)[2]
+
+
+def _classified_spectra(rho, sigma, cutoff, tol=SUPPORT_CLASSIFY_TOL):
+    """``(spectrum of rho, spectrum of sigma, support case)``, both spectra
+    checked positive, so callers need not decompose rho or sigma again."""
+    spec_rho = positive_spectrum(rho, cutoff)
+    spec_sig = positive_spectrum(sigma, cutoff)
+    _, v_rho = spec_rho.supported(cutoff)
+    _, v_sig = spec_sig.supported(cutoff)
+    # tr(P_rho P_sigma) and tr(P_rho) - tr(P_rho P_sigma) from the support bases
+    overlap = float(np.sum(np.abs(v_rho.conj().T @ v_sig) ** 2))
+    leak = v_rho.shape[1] - overlap
     if leak <= tol:
-        return CONTAINED
-    if overlap <= tol:
-        return DISJOINT
-    return OVERLAPPING
+        case = CONTAINED
+    elif overlap <= tol:
+        case = DISJOINT
+    else:
+        case = OVERLAPPING
+    return spec_rho, spec_sig, case
 
 
-def _supported_eigenvalues(m: np.ndarray, cutoff: float) -> np.ndarray:
-    spec = hermitian_eig(m)
-    return spec.eigenvalues[spec.support_mask(cutoff)]
-
-
-def _trace_power_on_support(m: np.ndarray, p: float, cutoff: float) -> float:
-    lam = _supported_eigenvalues(m, cutoff)
-    return float(np.sum(lam**p))
+def _sandwich_eigenvalues(
+    rho: np.ndarray, sigma_spec: Spectrum, order: RenyiOrder, cutoff: float
+) -> np.ndarray:
+    """Supported eigenvalues of ``sigma^g rho sigma^g``."""
+    s_g = sigma_spec.on_support(lambda lam: lam**order.gamma, cutoff)
+    x = hermitian_part(s_g @ rho @ s_g)
+    return hermitian_eig(x).supported(cutoff)[0]
 
 
 def q_tilde(
@@ -124,22 +134,14 @@ def q_tilde(
     alpha < 1 and the supports are orthogonal.
     """
     order = RenyiOrder(alpha)
-    case = classify_supports(rho, sigma, cutoff)
+    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
     if alpha > 1.0 and case != CONTAINED:
         raise SupportViolation(
             "trace functional undefined: supp(rho) not contained in supp(sigma)"
         )
     if alpha < 1.0 and case == DISJOINT:
         raise DisjointSupports("trace functional undefined: orthogonal supports")
-    return _q_tilde_raw(rho, sigma, order, cutoff)
-
-
-def _q_tilde_raw(
-    rho: np.ndarray, sigma: np.ndarray, order: RenyiOrder, cutoff: float
-) -> float:
-    s_g = matrix_power_on_support(sigma, order.gamma, cutoff)
-    x = hermitian_part(s_g @ rho @ s_g)
-    return _trace_power_on_support(x, order.alpha, cutoff)
+    return float(np.sum(_sandwich_eigenvalues(rho, spec_sig, order, cutoff) ** alpha))
 
 
 def srd(
@@ -151,20 +153,26 @@ def srd(
     """Sandwiched Renyi divergence of order alpha (alpha = 1 is the
     relative-entropy limit and dispatches exactly).
 
-    Raises ValueError when the trace functional underflows to 0, which
-    happens at extreme orders such as alpha = 1e-300.
+    Raises ValueError when no eigenvalue of the sandwiched operator
+    survives the support cutoff, which happens at extreme orders such as
+    alpha = 1e-300.  The trace power is summed in the log domain, so large
+    orders do not overflow.
     """
     if alpha == 1.0:
         return qre(rho, sigma, cutoff)
     order = RenyiOrder(alpha)
-    case = classify_supports(rho, sigma, cutoff)
+    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
     if not _finite_case(alpha, case):
         return DivergenceValue(math.inf, case)
-    q = _q_tilde_raw(rho, sigma, order, cutoff)
-    if q <= 0.0:
-        raise ValueError(f"trace functional underflows to {q} at alpha = {alpha}")
+    lam = _sandwich_eigenvalues(rho, spec_sig, order, cutoff)
+    if lam.size == 0:
+        raise ValueError(f"trace functional underflows to 0 at alpha = {alpha}")
+    # log2 tr(x^alpha) with the largest eigenvalue factored out: lam**alpha
+    # itself overflows at large alpha
+    top = float(lam[-1])
+    log_q = alpha * math.log2(top) + math.log2(float(np.sum((lam / top) ** alpha)))
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
-    value = math.log2(q / tr_rho) / (alpha - 1.0)
+    value = (log_q - math.log2(tr_rho)) / (alpha - 1.0)
     return DivergenceValue(value, case)
 
 
@@ -178,11 +186,11 @@ def rre(
     if alpha == 1.0:
         return qre(rho, sigma, cutoff)
     RenyiOrder(alpha)
-    case = classify_supports(rho, sigma, cutoff)
+    spec_rho, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
     if not _finite_case(alpha, case):
         return DivergenceValue(math.inf, case)
-    ra = matrix_power_on_support(rho, alpha, cutoff)
-    sb = matrix_power_on_support(sigma, 1.0 - alpha, cutoff)
+    ra = spec_rho.on_support(lambda lam: lam**alpha, cutoff)
+    sb = spec_sig.on_support(lambda lam: lam ** (1.0 - alpha), cutoff)
     q = float(np.trace(ra @ sb).real)
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
     value = math.log2(q / tr_rho) / (alpha - 1.0)
@@ -199,13 +207,13 @@ def qre(
     rho: np.ndarray, sigma: np.ndarray, cutoff: float = DEFAULT_CUTOFF
 ) -> DivergenceValue:
     """Relative entropy ``tr(rho (log rho - log sigma))`` in bits."""
-    case = classify_supports(rho, sigma, cutoff)
+    spec_rho, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
-    lam = _supported_eigenvalues(rho, cutoff)
+    lam, _ = spec_rho.supported(cutoff)
     tr_rho = float(np.sum(lam))
     ent = float(np.sum(lam * np.log2(lam)))
-    log_sigma = matrix_function_on_support(sigma, np.log2, cutoff)
+    log_sigma = spec_sig.on_support(np.log2, cutoff)
     cross = float(np.trace(as_complex_matrix(rho) @ log_sigma).real)
     # normalized as for a unit-trace rho; the factor is 1 for states
     return DivergenceValue((ent - cross) / tr_rho, case)
@@ -215,10 +223,10 @@ def d_max(
     rho: np.ndarray, sigma: np.ndarray, cutoff: float = DEFAULT_CUTOFF
 ) -> DivergenceValue:
     """Max-relative entropy ``log lambda_max(sigma^-1/2 rho sigma^-1/2)``."""
-    case = classify_supports(rho, sigma, cutoff)
+    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
-    isq = matrix_power_on_support(sigma, -0.5, cutoff)
+    isq = spec_sig.on_support(lambda lam: lam**-0.5, cutoff)
     m = hermitian_part(isq @ rho @ isq)
     lam_max = float(np.max(hermitian_eig(m).eigenvalues))
     return DivergenceValue(math.log2(lam_max), case)
@@ -256,8 +264,8 @@ def f_alpha(
     order = RenyiOrder(alpha)
     s_ig = matrix_power_on_support(sigma, -order.gamma, cutoff)
     y = hermitian_part(s_ig @ as_complex_matrix(h) @ s_ig)
-    exponent = alpha / (alpha - 1.0)
-    term = _trace_power_on_support(y, exponent, cutoff)
+    lam, _ = hermitian_eig(y).supported(cutoff)
+    term = float(np.sum(lam ** (alpha / (alpha - 1.0))))
     lead = float(np.trace(as_complex_matrix(rho) @ as_complex_matrix(h)).real)
     return alpha * lead - (alpha - 1.0) * term
 
@@ -269,8 +277,15 @@ def h_hat(
     cutoff: float = DEFAULT_CUTOFF,
 ) -> np.ndarray:
     """Critical observable ``sigma^g (sigma^g rho sigma^g)^(a-1) sigma^g``."""
-    order = RenyiOrder(alpha)
-    s_g = matrix_power_on_support(sigma, order.gamma, cutoff)
+    return _critical_observable(rho, positive_spectrum(sigma, cutoff), alpha, cutoff)
+
+
+def _critical_observable(
+    rho: np.ndarray, sigma_spec: Spectrum, alpha: float, cutoff: float
+) -> np.ndarray:
+    """:func:`h_hat` on an already decomposed sigma."""
+    gamma = RenyiOrder(alpha).gamma
+    s_g = sigma_spec.on_support(lambda lam: lam**gamma, cutoff)
     x = hermitian_part(s_g @ rho @ s_g)
     core = matrix_power_on_support(x, alpha - 1.0, cutoff)
     return hermitian_part(s_g @ core @ s_g)
@@ -282,7 +297,7 @@ def h_hat(
 
 
 def von_neumann_entropy(rho: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> float:
-    lam = _supported_eigenvalues(rho, cutoff)
+    lam, _ = hermitian_eig(rho).supported(cutoff)
     return float(-np.sum(lam * np.log2(lam)))
 
 
@@ -292,7 +307,7 @@ def renyi_entropy(
     """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders."""
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
-    lam = _supported_eigenvalues(rho, cutoff)
+    lam, _ = hermitian_eig(rho).supported(cutoff)
     if alpha == 1.0:
         return float(-np.sum(lam * np.log2(lam)))
     if alpha == math.inf:
@@ -332,44 +347,19 @@ def _fixed_point_step(
     """
     alpha = order.alpha
     spec = hermitian_eig(sigma_b)
-    keep = spec.support_mask(cutoff)
-    if alpha > 1.0 and int(np.sum(keep)) < required_rank:
+    if alpha > 1.0 and int(np.sum(spec.support_mask(cutoff))) < required_rank:
         return math.inf, None
-    vals = np.zeros_like(spec.eigenvalues)
-    vals[keep] = spec.eigenvalues[keep] ** order.gamma
-    v = spec.eigenvectors
-    s_g = hermitian_part((v * vals) @ v.conj().T)
+    s_g = spec.on_support(lambda lam: lam**order.gamma, cutoff)
     big = np.kron(np.eye(dim_a, dtype=np.complex128), s_g)
     x = hermitian_part(big @ rho_ab @ big)
-    spec_x = hermitian_eig(x)
-    keep_x = spec_x.support_mask(cutoff)
-    q = float(np.sum(spec_x.eigenvalues[keep_x] ** alpha))
+    xa = hermitian_eig(x).on_support(lambda lam: lam**alpha, cutoff)
+    q = float(np.trace(xa).real)
     if q <= 0.0:
         return math.inf, None
     value = math.log2(q) / (alpha - 1.0)
-    pow_vals = np.zeros_like(spec_x.eigenvalues)
-    pow_vals[keep_x] = spec_x.eigenvalues[keep_x] ** alpha
-    vx = spec_x.eigenvectors
-    xa = (vx * pow_vals) @ vx.conj().T
     nxt = partial_trace(xa, dim_a, dim_b, keep="B")
     nxt = hermitian_part(nxt / q)
     return value, nxt
-
-
-def _divergence_vs_sigma_b(
-    rho_ab: np.ndarray,
-    dim_a: int,
-    dim_b: int,
-    sigma_b: np.ndarray,
-    order: RenyiOrder,
-    cutoff: float,
-    required_rank: int,
-) -> float:
-    """D(rho_AB || 1_A (x) sigma_B), guarding the support requirement."""
-    value, _ = _fixed_point_step(
-        rho_ab, dim_a, dim_b, sigma_b, order, cutoff, required_rank
-    )
-    return value
 
 
 def _herm_from_params(theta: np.ndarray, r: int) -> np.ndarray:
@@ -404,7 +394,7 @@ def _state_from_log_params(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     spec = hermitian_eig(ell)
     w = np.exp(spec.eigenvalues - np.max(spec.eigenvalues))
     w /= np.sum(w)
-    small = (spec.eigenvectors * w) @ spec.eigenvectors.conj().T
+    small = spec.reconstruct(w)
     return hermitian_part(basis @ small @ basis.conj().T)
 
 
@@ -435,12 +425,12 @@ def conditional_renyi(
     rho_ab = state.mat
     dim_a, dim_b = state.dim_a, state.dim_b
 
-    supp_b = support_of(rho_b, cutoff)
-    r = supp_b.rank
-    basis = hermitian_eig(rho_b).eigenvectors[:, -r:]  # ascending order: top r
+    _, basis = positive_spectrum(rho_b, cutoff).supported(cutoff)
+    r = basis.shape[1]
 
     def objective(sig):
-        return _divergence_vs_sigma_b(rho_ab, dim_a, dim_b, sig, order, cutoff, r)
+        # D(rho_AB || 1_A (x) sigma_B), guarding the support requirement
+        return _fixed_point_step(rho_ab, dim_a, dim_b, sig, order, cutoff, r)[0]
 
     def psd_state(m):
         # project onto states of full rank on supp(rho_B): extrapolated
@@ -452,8 +442,7 @@ def conditional_renyi(
             return None
         vals = np.clip(vals, float(np.max(vals)) * 1e-8, None)
         vals /= np.sum(vals)
-        v = spec.eigenvectors
-        return hermitian_part((v * vals) @ v.conj().T)
+        return hermitian_part(spec.reconstruct(vals))
 
     sigma = rho_b.copy()
     val, nxt = _fixed_point_step(rho_ab, dim_a, dim_b, sigma, order, cutoff, r)
@@ -518,8 +507,7 @@ def conditional_renyi(
         spec = hermitian_eig(small)
         floor = max(float(np.max(spec.eigenvalues)), 1e-12) * 1e-9
         floored = np.clip(spec.eigenvalues, floor, None)
-        log_small = (spec.eigenvectors * np.log(floored)) @ spec.eigenvectors.conj().T
-        theta0 = _params_from_herm(hermitian_part(log_small))
+        theta0 = _params_from_herm(hermitian_part(spec.reconstruct(np.log(floored))))
 
         def fun(theta):
             sig = _state_from_log_params(theta, basis)

@@ -15,7 +15,8 @@ from .divergences import (
     CONTAINED,
     DISJOINT,
     DivergenceValue,
-    classify_supports,
+    _classified_spectra,
+    _critical_observable,
     h_hat,
     srd,
 )
@@ -27,6 +28,7 @@ from .linalg import (
     matrix_power_on_support,
     max_abs,
     partial_trace,
+    positive_spectrum,
     tensor,
 )
 from .states import _complex_gaussian, substream
@@ -99,14 +101,16 @@ def dpi_check(
     return DpiReport(lhs, rhs, gap, alpha)
 
 
-def _check_equality_preconditions(rho, sigma, alpha, cutoff) -> None:
-    case = classify_supports(rho, sigma, cutoff)
+def _check_equality_preconditions(rho, sigma, alpha, cutoff):
+    """Reject support cases with no equality condition; return sigma's spectrum."""
+    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
     if alpha > 1.0 and case != CONTAINED:
         raise SupportViolation(
             "equality condition needs supp(rho) inside supp(sigma) for alpha > 1"
         )
     if alpha < 1.0 and case == DISJOINT:
         raise DisjointSupports("equality condition undefined on orthogonal supports")
+    return spec_sig
 
 
 def _certificate(
@@ -128,8 +132,8 @@ def equality_residual(
 ) -> EqualityCertificate:
     """Algebraic equality test: compares the critical observable of
     (rho, sigma) with the adjoint-pulled-back observable of the outputs."""
-    _check_equality_preconditions(rho, sigma, alpha, cutoff)
-    lhs_op = h_hat(rho, sigma, alpha, cutoff)
+    spec_sig = _check_equality_preconditions(rho, sigma, alpha, cutoff)
+    lhs_op = _critical_observable(rho, spec_sig, alpha, cutoff)
     out_h = h_hat(apply(channel, rho), apply(channel, sigma), alpha, cutoff)
     rhs_op = apply_adjoint(channel, out_h)
     return _certificate(lhs_op, rhs_op, eq_tol)
@@ -149,9 +153,9 @@ def equality_residual_stinespring(
     tracing, and the adjoint from the isometry; kept as a cross-check for
     the Kraus route.
     """
-    _check_equality_preconditions(rho, sigma, alpha, cutoff)
+    spec_sig = _check_equality_preconditions(rho, sigma, alpha, cutoff)
     dil = stinespring(channel)
-    lhs_op = h_hat(rho, sigma, alpha, cutoff)
+    lhs_op = _critical_observable(rho, spec_sig, alpha, cutoff)
     out_h = h_hat(dil.apply(rho), dil.apply(sigma), alpha, cutoff)
     rhs_op = dil.apply_adjoint(out_h)
     return _certificate(lhs_op, rhs_op, eq_tol)
@@ -171,13 +175,13 @@ def equality_residual_partial_trace(
     Compares the A-marginal critical observable, tensored with 1_B,
     against the joint critical observable.
     """
-    _check_equality_preconditions(rho_ab, sigma_ab, alpha, cutoff)
+    spec_sig = _check_equality_preconditions(rho_ab, sigma_ab, alpha, cutoff)
     rho_a = partial_trace(rho_ab, dim_a, dim_b, keep="A")
     sigma_a = partial_trace(sigma_ab, dim_a, dim_b, keep="A")
     lhs_op = tensor(
         h_hat(rho_a, sigma_a, alpha, cutoff), np.eye(dim_b, dtype=np.complex128)
     )
-    rhs_op = h_hat(rho_ab, sigma_ab, alpha, cutoff)
+    rhs_op = _critical_observable(rho_ab, spec_sig, alpha, cutoff)
     return _certificate(lhs_op, rhs_op, eq_tol)
 
 
@@ -405,8 +409,9 @@ def fuchs_caves_observable(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     its eigenbasis reproduces F(rho, sigma) classically.  Used as the
     analytic cross-check for :func:`fidelity_attaining_povm`.
     """
-    isq = matrix_power_on_support(sigma, -0.5)
-    sq = matrix_power_on_support(sigma, 0.5)
+    spec = positive_spectrum(sigma)
+    isq = spec.on_support(lambda lam: lam**-0.5)
+    sq = spec.on_support(lambda lam: lam**0.5)
     mid = matrix_power_on_support(hermitian_part(sq @ rho @ sq), 0.5)
     return hermitian_part(isq @ mid @ isq)
 

@@ -158,9 +158,7 @@ def check_saturation_conditions(
     rho_a = state.marginal_a()
     spec = hermitian_eig(state.mat)
     lam_max = float(np.max(spec.eigenvalues))
-    keep = spec.support_mask(cutoff)
-    lam = spec.eigenvalues[keep]
-    vecs = spec.eigenvectors[:, keep]
+    lam, vecs = spec.supported(cutoff)
     r = lam.size
 
     # group (nearly) equal eigenvalues; rotations act inside groups only
@@ -256,10 +254,8 @@ def reof_minimize(
     an upper bound on the true minimum together with the realizing
     ensemble.
     """
-    spec = hermitian_eig(state.mat)
-    keep = np.where(spec.support_mask(cutoff))[0][::-1]
-    lam = spec.eigenvalues[keep]
-    vecs = spec.eigenvectors[:, keep]
+    lam, vecs = hermitian_eig(state.mat).supported(cutoff)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
     r = lam.size
     m = ensemble_size if ensemble_size is not None else min(r * r, 16)
     if m < r:
@@ -269,8 +265,8 @@ def reof_minimize(
     def orth(z: np.ndarray) -> np.ndarray:
         gram = hermitian_part(z.conj().T @ z)
         gspec = hermitian_eig(gram)
-        inv_sqrt = (gspec.eigenvectors / np.sqrt(np.clip(gspec.eigenvalues, 1e-14, None))) @ gspec.eigenvectors.conj().T
-        return z @ inv_sqrt
+        clipped = np.clip(gspec.eigenvalues, 1e-14, None)
+        return z @ gspec.reconstruct(1.0 / np.sqrt(clipped))
 
     def objective_from_t(t: np.ndarray) -> float:
         tilde, weights = _ensemble_from_isometry(scaled, t)
@@ -376,5 +372,5 @@ def fe_equality_check(
     rho_m = as_complex_matrix(rho)
     f_sq = fidelity(rho_m, apply(channel, rho_m)) ** 2
     f_e = entanglement_fidelity(rho_m, channel, cutoff=cutoff)
-    rank = int(np.sum(hermitian_eig(rho_m).support_mask(cutoff)))
+    rank = hermitian_eig(rho_m).supported(cutoff)[0].size
     return FeEqualityReport(f_sq - f_e, rank == 1, f_e, f_sq)

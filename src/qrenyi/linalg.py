@@ -34,15 +34,18 @@ class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
+    matching orthonormal eigenvectors as columns.  Supports, and functions
+    of the operator on its support, are all read from here.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self, values: np.ndarray | None = None) -> np.ndarray:
+        """``V diag(values) V^dag``; ``values`` defaults to the eigenvalues."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        vals = self.eigenvalues if values is None else values
+        return (v * vals) @ v.conj().T
 
     def support_threshold(self, cutoff: float = DEFAULT_CUTOFF) -> float:
         """Eigenvalues at or below ``cutoff * max(1, lambda_max)`` count as 0."""
@@ -52,6 +55,18 @@ class Spectrum:
     def support_mask(self, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
         """Keep mask of the eigenpairs spanning the numerical support."""
         return self.eigenvalues > self.support_threshold(cutoff)
+
+    def supported(self, cutoff: float = DEFAULT_CUTOFF):
+        """``(eigenvalues, eigenvectors)`` on the numerical support, ascending."""
+        keep = self.support_mask(cutoff)
+        return self.eigenvalues[keep], self.eigenvectors[:, keep]
+
+    def on_support(self, fn, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+        """Hermitian matrix with ``fn`` of the supported eigenvalues, 0 elsewhere."""
+        keep = self.support_mask(cutoff)
+        vals = np.zeros_like(self.eigenvalues)
+        vals[keep] = fn(self.eigenvalues[keep])
+        return hermitian_part(self.reconstruct(vals))
 
 
 @dataclass(frozen=True)
@@ -121,14 +136,21 @@ def hermitian_eig(h: np.ndarray) -> Spectrum:
     return Spectrum(evals, v)
 
 
-def _check_spectrum_positive(evals: np.ndarray, cutoff: float) -> None:
-    abs_max = float(np.max(np.abs(evals))) if evals.size else 0.0
-    floor = -cutoff * max(1.0, abs_max)
-    low = float(np.min(evals)) if evals.size else 0.0
-    if low < floor:
-        raise NegativeEigenvalue(
-            f"eigenvalue {low:.3e} below allowed floor {floor:.3e}"
-        )
+def positive_spectrum(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> Spectrum:
+    """:func:`hermitian_eig` of a positive semidefinite operator.
+
+    Eigenvalues down to ``-cutoff * max(1, |lambda|_max)`` count as roundoff
+    of 0; anything below that floor raises NegativeEigenvalue.
+    """
+    spec = hermitian_eig(a)
+    if spec.eigenvalues.size:
+        low, high = spec.eigenvalues[0], spec.eigenvalues[-1]  # ascending
+        floor = -cutoff * max(1.0, -low, high)
+        if low < floor:
+            raise NegativeEigenvalue(
+                f"eigenvalue {low:.3e} below allowed floor {floor:.3e}"
+            )
+    return spec
 
 
 def support_of(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> SupportInfo:
@@ -138,14 +160,10 @@ def support_of(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> SupportInfo:
     rank; anything in ``[-cutoff*max(1,|lambda|_max), threshold]`` is treated
     as zero, and eigenvalues below that floor raise NegativeEigenvalue.
     """
-    spec = hermitian_eig(a)
-    _check_spectrum_positive(spec.eigenvalues, cutoff)
-    keep = spec.support_mask(cutoff)
-    vk = spec.eigenvectors[:, keep]
-    projector = vk @ vk.conj().T
-    return SupportInfo(
-        int(np.sum(keep)), hermitian_part(projector), spec.support_threshold(cutoff)
-    )
+    spec = positive_spectrum(a, cutoff)
+    projector = spec.on_support(np.ones_like, cutoff)
+    rank = int(np.sum(spec.support_mask(cutoff)))
+    return SupportInfo(rank, projector, spec.support_threshold(cutoff))
 
 
 def matrix_power_on_support(
@@ -164,13 +182,7 @@ def matrix_function_on_support(
     a: np.ndarray, fn, cutoff: float = DEFAULT_CUTOFF
 ) -> np.ndarray:
     """Apply a scalar function to the supported eigenvalues, zero elsewhere."""
-    spec = hermitian_eig(a)
-    _check_spectrum_positive(spec.eigenvalues, cutoff)
-    keep = spec.support_mask(cutoff)
-    vals = np.zeros_like(spec.eigenvalues)
-    vals[keep] = fn(spec.eigenvalues[keep])
-    v = spec.eigenvectors
-    return hermitian_part((v * vals) @ v.conj().T)
+    return positive_spectrum(a, cutoff).on_support(fn, cutoff)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

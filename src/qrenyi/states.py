@@ -9,12 +9,12 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_CUTOFF,
-    _check_spectrum_positive,
     as_complex_matrix,
     check_hermitian,
     hermitian_eig,
     hermitian_part,
     partial_trace,
+    positive_spectrum,
     support_of,
 )
 
@@ -44,7 +44,7 @@ def _as_rng(seed) -> np.random.Generator:
 def check_positive(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
     """Validate positive semidefiniteness (up to -cutoff) and symmetrize."""
     m = check_hermitian(a)
-    _check_spectrum_positive(hermitian_eig(m).eigenvalues, cutoff)
+    positive_spectrum(m, cutoff)
     return m
 
 
@@ -137,15 +137,9 @@ def purify(rho: np.ndarray, cutoff: float = DEFAULT_CUTOFF):
     over the supported eigenpairs in descending eigenvalue order.  Tracing
     out H' recovers ``rho``.
     """
-    spec = hermitian_eig(rho)
-    keep = np.where(spec.support_mask(cutoff))[0][::-1]  # descending
-    d = rho.shape[0]
-    r = len(keep)
-    psi = np.zeros(d * r, dtype=np.complex128)
-    for slot, i in enumerate(keep):
-        vec = spec.eigenvectors[:, i]
-        psi[slot::r] += np.sqrt(spec.eigenvalues[i]) * vec
-    return psi, r
+    lam, vecs = hermitian_eig(rho).supported(cutoff)
+    psi = (vecs[:, ::-1] * np.sqrt(lam[::-1])).reshape(-1)
+    return psi, lam.size
 
 
 def random_density(d: int, rank: int, seed) -> np.ndarray:

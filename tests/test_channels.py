@@ -18,7 +18,12 @@ from qrenyi.channels import (
     stinespring,
     unitary_channel,
 )
-from qrenyi.errors import DimensionMismatch, IncompletePOVM, IncompleteResolution
+from qrenyi.errors import (
+    DimensionMismatch,
+    IncompletePOVM,
+    IncompleteResolution,
+    NegativeEigenvalue,
+)
 from qrenyi.linalg import max_abs, tensor
 from qrenyi.states import (
     BipartiteState,
@@ -197,6 +202,12 @@ class TestPinchingAndMeasurement:
     def test_incomplete_povm(self):
         with pytest.raises(IncompletePOVM):
             measurement_channel([np.diag([0.5, 0.5]).astype(complex)])
+
+    def test_non_positive_element_raises(self):
+        # sums to the identity, so only the positivity check can reject it
+        povm = [np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])]
+        with pytest.raises(NegativeEigenvalue):
+            measurement_channel(povm)
 
 
 class TestHeisenbergWeyl:

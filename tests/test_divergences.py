@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrenyi.divergences import (
     RenyiOrder,
@@ -263,6 +266,16 @@ class TestQreAndDmax:
             dm = d_max(rho, sig).value
             assert srd(rho, sig, 100.0).value <= dm + 0.05
 
+    def test_large_order_stays_finite(self):
+        # tr(x^alpha) itself overflows here: its largest eigenvalue is ~455
+        rho = random_density(2, 2, 11)
+        sig = random_density(2, 2, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = srd(rho, sig, 1000.0).value
+        assert math.isfinite(value)
+        assert srd(rho, sig, 100.0).value <= value <= d_max(rho, sig).value
+
 
 class TestKl:
     def test_self_zero(self):
@@ -453,3 +466,41 @@ class TestDuality:
     def test_rejects_half(self):
         with pytest.raises(ValueError):
             duality_gap(bell_state(), 0.5)
+
+
+# alpha in [1/2, 5]; near alpha = 1 the 1/(alpha - 1) factor amplifies roundoff
+orders = st.floats(0.5, 5.0).filter(lambda a: abs(a - 1.0) > 1e-3)
+
+property_settings = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+
+class TestSrdProperties:
+    @property_settings
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), orders)
+    def test_unitary_invariance(self, d, seed, alpha):
+        rng = np.random.default_rng(seed)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        sig = random_density(d, int(rng.integers(1, d + 1)), rng)
+        u = random_unitary(d, rng)
+        before = srd(rho, sig, alpha)
+        after = srd(u @ rho @ u.conj().T, u @ sig @ u.conj().T, alpha)
+        assert after.support_case == before.support_case
+        if before.is_finite:
+            tol = 1e-8 * max(1.0, abs(before.value))
+            assert abs(after.value - before.value) <= tol
+        else:
+            assert not after.is_finite
+
+    @property_settings
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), orders)
+    def test_classical_reduction(self, d, seed, alpha):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(d))
+        p[: int(rng.integers(0, d))] = 0.0  # rho of any rank, sigma of full rank
+        p /= np.sum(p)
+        q = rng.dirichlet(np.ones(d))
+        want = classical_renyi(p, q, alpha)
+        got = srd(np.diag(p).astype(complex), np.diag(q).astype(complex), alpha)
+        assert abs(got.value - want) <= 1e-10 * max(1.0, abs(want))

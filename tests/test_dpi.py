@@ -12,7 +12,7 @@ from qrenyi.channels import (
     random_channel,
     unitary_channel,
 )
-from qrenyi.divergences import srd
+from qrenyi.divergences import classify_supports, d_max, qre, rre, srd
 from qrenyi.dpi import (
     classical_fidelity,
     dpi_check,
@@ -25,6 +25,7 @@ from qrenyi.dpi import (
     petz_recovery,
     sufficiency_test,
 )
+from qrenyi.errors import NegativeEigenvalue
 from qrenyi.linalg import fidelity, hermitian_eig, max_abs, tensor
 from qrenyi.states import random_density, random_unitary, substream
 
@@ -334,3 +335,52 @@ class TestFidelityMeasurement:
         sig = random_density(2, 2, rng)
         got = srd(rho, sig, 0.5).value
         assert abs(got - (-2.0 * math.log2(fidelity(rho, sig)))) < 1e-10
+
+
+class TestSpectralReuse:
+    """Each operator is decomposed once per call, and the decomposition
+    that replaced ``support_of`` still rejects non-positive input."""
+
+    @pytest.mark.parametrize(
+        "op, expected",
+        [
+            (lambda r, s, ch: srd(r, s, 2.0), 3),
+            (lambda r, s, ch: dpi_check(r, s, ch, 2.0), 6),
+            (lambda r, s, ch: equality_residual(r, s, ch, 2.0), 5),
+            (lambda r, s, ch: qre(r, s), 2),
+            (lambda r, s, ch: rre(r, s, 2.0), 2),
+            (lambda r, s, ch: d_max(r, s), 3),
+            (lambda r, s, ch: fuchs_caves_observable(r, s), 2),
+        ],
+        ids=["srd", "dpi_check", "equality_residual", "qre", "rre", "d_max", "fuchs"],
+    )
+    def test_eigendecompositions_per_call(self, monkeypatch, op, expected):
+        rho = random_density(4, 4, 611)
+        sig = random_density(4, 4, 612)
+        chan = partial_trace_channel(2, 2)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        op(rho, sig, chan)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda r, s: srd(r, s, 2.0),
+            lambda r, s: equality_residual(r, s, identity_channel(2), 2.0),
+            classify_supports,
+        ],
+        ids=["srd", "equality_residual", "classify_supports"],
+    )
+    @pytest.mark.parametrize("bad_is_rho", [True, False], ids=["rho", "sigma"])
+    def test_non_positive_input_raises(self, op, bad_is_rho):
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        good = random_density(2, 2, 613)
+        with pytest.raises(NegativeEigenvalue):
+            op(bad, good) if bad_is_rho else op(good, bad)
