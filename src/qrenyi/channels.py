@@ -35,7 +35,7 @@ class QuantumChannel:
     anchors).
     """
 
-    def __init__(self, kraus_ops, require_tp: bool = True, tp_tol: float = TP_TOL):
+    def __init__(self, kraus_ops, require_tp: bool = True):
         ops = tuple(as_complex_matrix(k) for k in kraus_ops)
         if not ops:
             raise ValueError("need at least one Kraus operator")
@@ -48,7 +48,7 @@ class QuantumChannel:
         self.dim_out = d_out
         if require_tp:
             defect = self.completeness_defect()
-            if defect > tp_tol:
+            if defect > TP_TOL:
                 raise ValueError(
                     f"channel is not trace-preserving: defect {defect:.3e}"
                 )
@@ -216,12 +216,12 @@ def partial_trace_channel(dim_a: int, dim_b: int, keep: str = "A") -> QuantumCha
     return QuantumChannel(kraus)
 
 
-def pinching_channel(projectors, tol: float = TP_TOL) -> QuantumChannel:
+def pinching_channel(projectors) -> QuantumChannel:
     """Block-diagonalizing channel ``rho -> sum_i P_i rho P_i``."""
     ops = [as_complex_matrix(p) for p in projectors]
     d = ops[0].shape[0]
     total = sum(ops)
-    if max_abs(total - np.eye(d)) > tol:
+    if max_abs(total - np.eye(d)) > TP_TOL:
         raise IncompleteResolution("projectors do not resolve the identity")
     for p in ops:
         if max_abs(p @ p - p) > 1e-8 or max_abs(p - p.conj().T) > 1e-8:
@@ -252,7 +252,7 @@ def depolarizing(d: int, p: float = 1.0) -> QuantumChannel:
     return QuantumChannel(kraus)
 
 
-def measurement_channel(povm, tol: float = TP_TOL) -> QuantumChannel:
+def measurement_channel(povm) -> QuantumChannel:
     """Measure-and-record channel ``omega -> sum_x tr(omega M_x) |x><x|``.
 
     Raises NegativeEigenvalue when an element is not positive semidefinite.
@@ -260,7 +260,7 @@ def measurement_channel(povm, tol: float = TP_TOL) -> QuantumChannel:
     elements = [as_complex_matrix(m) for m in povm]
     d = elements[0].shape[0]
     total = sum(elements)
-    if max_abs(total - np.eye(d)) > tol:
+    if max_abs(total - np.eye(d)) > TP_TOL:
         raise IncompletePOVM("POVM elements do not sum to the identity")
     n_out = len(elements)
     kraus = []

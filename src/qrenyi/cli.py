@@ -362,7 +362,7 @@ def cmd_suite(args) -> int:
         kwargs["trials"] = args.trials
     if args.dims is not None:
         kwargs["dims"] = args.dims
-    if args.name == "dpi-violation-below-half" and args.alpha is not None:
+    if args.alpha is not None:
         kwargs["alpha"] = args.alpha
     report = run_suite(args.name, **kwargs)
     emit(report.to_dict(), args.output)

@@ -21,7 +21,6 @@ from .errors import (
     SupportViolation,
 )
 from .linalg import (
-    DEFAULT_CUTOFF,
     Spectrum,
     as_complex_matrix,
     hermitian_eig,
@@ -36,8 +35,9 @@ from .states import BipartiteState, projector, purify
 #: Absolute tolerance for support-overlap classification.
 SUPPORT_CLASSIFY_TOL = 1e-9
 
-#: Tolerance on optimized divergence values.
-OPT_TOL = 1e-6
+#: Iteration budget and residual target of the conditional-entropy fixed point.
+_FP_MAX_ITER = 500
+_FP_TOL = 1e-12
 
 CONTAINED = "contained"
 OVERLAPPING = "overlapping"
@@ -83,29 +83,24 @@ class DivergenceValue:
         return math.isfinite(self.value)
 
 
-def classify_supports(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    cutoff: float = DEFAULT_CUTOFF,
-    tol: float = SUPPORT_CLASSIFY_TOL,
-) -> str:
+def classify_supports(rho: np.ndarray, sigma: np.ndarray) -> str:
     """Classify supp(rho) against supp(sigma): contained / overlapping / disjoint."""
-    return _classified_spectra(rho, sigma, cutoff, tol)[2]
+    return _classified_spectra(rho, sigma)[2]
 
 
-def _classified_spectra(rho, sigma, cutoff, tol=SUPPORT_CLASSIFY_TOL):
+def _classified_spectra(rho, sigma):
     """``(spectrum of rho, spectrum of sigma, support case)``, both spectra
     checked positive, so callers need not decompose rho or sigma again."""
-    spec_rho = positive_spectrum(rho, cutoff)
-    spec_sig = positive_spectrum(sigma, cutoff)
-    _, v_rho = spec_rho.supported(cutoff)
-    _, v_sig = spec_sig.supported(cutoff)
+    spec_rho = positive_spectrum(rho)
+    spec_sig = positive_spectrum(sigma)
+    _, v_rho = spec_rho.supported()
+    _, v_sig = spec_sig.supported()
     # tr(P_rho P_sigma) and tr(P_rho) - tr(P_rho P_sigma) from the support bases
     overlap = float(np.sum(np.abs(v_rho.conj().T @ v_sig) ** 2))
     leak = v_rho.shape[1] - overlap
-    if leak <= tol:
+    if leak <= SUPPORT_CLASSIFY_TOL:
         case = CONTAINED
-    elif overlap <= tol:
+    elif overlap <= SUPPORT_CLASSIFY_TOL:
         case = DISJOINT
     else:
         case = OVERLAPPING
@@ -113,20 +108,25 @@ def _classified_spectra(rho, sigma, cutoff, tol=SUPPORT_CLASSIFY_TOL):
 
 
 def _sandwich_eigenvalues(
-    rho: np.ndarray, sigma_spec: Spectrum, order: RenyiOrder, cutoff: float
+    rho: np.ndarray, sigma_spec: Spectrum, order: RenyiOrder
 ) -> np.ndarray:
     """Supported eigenvalues of ``sigma^g rho sigma^g``."""
-    s_g = sigma_spec.on_support(lambda lam: lam**order.gamma, cutoff)
+    s_g = sigma_spec.on_support(lambda lam: lam**order.gamma)
     x = hermitian_part(s_g @ rho @ s_g)
-    return hermitian_eig(x).supported(cutoff)[0]
+    return hermitian_eig(x).supported()[0]
 
 
-def q_tilde(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> float:
+def _log2_trace_power(lam: np.ndarray, alpha: float) -> float:
+    """``log2 sum(lam**alpha)`` over positive ``lam`` (ascending), summed with
+    the largest eigenvalue factored out: ``lam**alpha`` itself overflows or
+    underflows at large alpha."""
+    if lam.size == 0:
+        raise ValueError(f"trace functional underflows to 0 at alpha = {alpha}")
+    top = float(lam[-1])
+    return alpha * math.log2(top) + math.log2(float(np.sum((lam / top) ** alpha)))
+
+
+def q_tilde(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Trace functional ``tr[(sigma^g rho sigma^g)^alpha]``, g=(1-a)/2a.
 
     Powers are taken on supports.  Raises SupportViolation when alpha > 1
@@ -134,22 +134,17 @@ def q_tilde(
     alpha < 1 and the supports are orthogonal.
     """
     order = RenyiOrder(alpha)
-    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
+    _, spec_sig, case = _classified_spectra(rho, sigma)
     if alpha > 1.0 and case != CONTAINED:
         raise SupportViolation(
             "trace functional undefined: supp(rho) not contained in supp(sigma)"
         )
     if alpha < 1.0 and case == DISJOINT:
         raise DisjointSupports("trace functional undefined: orthogonal supports")
-    return float(np.sum(_sandwich_eigenvalues(rho, spec_sig, order, cutoff) ** alpha))
+    return float(np.sum(_sandwich_eigenvalues(rho, spec_sig, order) ** alpha))
 
 
-def srd(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> DivergenceValue:
+def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     """Sandwiched Renyi divergence of order alpha (alpha = 1 is the
     relative-entropy limit and dispatches exactly).
 
@@ -159,38 +154,27 @@ def srd(
     orders do not overflow.
     """
     if alpha == 1.0:
-        return qre(rho, sigma, cutoff)
+        return qre(rho, sigma)
     order = RenyiOrder(alpha)
-    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
+    _, spec_sig, case = _classified_spectra(rho, sigma)
     if not _finite_case(alpha, case):
         return DivergenceValue(math.inf, case)
-    lam = _sandwich_eigenvalues(rho, spec_sig, order, cutoff)
-    if lam.size == 0:
-        raise ValueError(f"trace functional underflows to 0 at alpha = {alpha}")
-    # log2 tr(x^alpha) with the largest eigenvalue factored out: lam**alpha
-    # itself overflows at large alpha
-    top = float(lam[-1])
-    log_q = alpha * math.log2(top) + math.log2(float(np.sum((lam / top) ** alpha)))
+    lam = _sandwich_eigenvalues(rho, spec_sig, order)
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
-    value = (log_q - math.log2(tr_rho)) / (alpha - 1.0)
+    value = (_log2_trace_power(lam, alpha) - math.log2(tr_rho)) / (alpha - 1.0)
     return DivergenceValue(value, case)
 
 
-def rre(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> DivergenceValue:
+def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     """Relative Renyi entropy ``log tr(rho^a sigma^(1-a)) / (a-1)``."""
     if alpha == 1.0:
-        return qre(rho, sigma, cutoff)
+        return qre(rho, sigma)
     RenyiOrder(alpha)
-    spec_rho, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
+    spec_rho, spec_sig, case = _classified_spectra(rho, sigma)
     if not _finite_case(alpha, case):
         return DivergenceValue(math.inf, case)
-    ra = spec_rho.on_support(lambda lam: lam**alpha, cutoff)
-    sb = spec_sig.on_support(lambda lam: lam ** (1.0 - alpha), cutoff)
+    ra = spec_rho.on_support(lambda lam: lam**alpha)
+    sb = spec_sig.on_support(lambda lam: lam ** (1.0 - alpha))
     q = float(np.trace(ra @ sb).real)
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
     value = math.log2(q / tr_rho) / (alpha - 1.0)
@@ -203,30 +187,26 @@ def _finite_case(alpha: float, case: str) -> bool:
     return alpha < 1.0 and case == OVERLAPPING
 
 
-def qre(
-    rho: np.ndarray, sigma: np.ndarray, cutoff: float = DEFAULT_CUTOFF
-) -> DivergenceValue:
+def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     """Relative entropy ``tr(rho (log rho - log sigma))`` in bits."""
-    spec_rho, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
+    spec_rho, spec_sig, case = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
-    lam, _ = spec_rho.supported(cutoff)
+    lam, _ = spec_rho.supported()
     tr_rho = float(np.sum(lam))
     ent = float(np.sum(lam * np.log2(lam)))
-    log_sigma = spec_sig.on_support(np.log2, cutoff)
+    log_sigma = spec_sig.on_support(np.log2)
     cross = float(np.trace(as_complex_matrix(rho) @ log_sigma).real)
     # normalized as for a unit-trace rho; the factor is 1 for states
     return DivergenceValue((ent - cross) / tr_rho, case)
 
 
-def d_max(
-    rho: np.ndarray, sigma: np.ndarray, cutoff: float = DEFAULT_CUTOFF
-) -> DivergenceValue:
+def d_max(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     """Max-relative entropy ``log lambda_max(sigma^-1/2 rho sigma^-1/2)``."""
-    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
+    _, spec_sig, case = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
-    isq = spec_sig.on_support(lambda lam: lam**-0.5, cutoff)
+    isq = spec_sig.on_support(lambda lam: lam**-0.5)
     m = hermitian_part(isq @ rho @ isq)
     lam_max = float(np.max(hermitian_eig(m).eigenvalues))
     return DivergenceValue(math.log2(lam_max), case)
@@ -249,45 +229,34 @@ def kl(p, q) -> float:
 # ---------------------------------------------------------------------------
 
 
-def f_alpha(
-    h: np.ndarray,
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> float:
+def f_alpha(h: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Variational functional ``a tr(rho H) - (a-1) tr[(s^-g H s^-g)^(a/(a-1))]``.
 
     Its optimum over H >= 0 (sup for alpha > 1, inf for alpha in [1/2, 1))
     is the trace functional, attained at :func:`h_hat`.
     """
     order = RenyiOrder(alpha)
-    s_ig = matrix_power_on_support(sigma, -order.gamma, cutoff)
+    s_ig = matrix_power_on_support(sigma, -order.gamma)
     y = hermitian_part(s_ig @ as_complex_matrix(h) @ s_ig)
-    lam, _ = hermitian_eig(y).supported(cutoff)
+    lam, _ = hermitian_eig(y).supported()
     term = float(np.sum(lam ** (alpha / (alpha - 1.0))))
     lead = float(np.trace(as_complex_matrix(rho) @ as_complex_matrix(h)).real)
     return alpha * lead - (alpha - 1.0) * term
 
 
-def h_hat(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    alpha: float,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> np.ndarray:
+def h_hat(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> np.ndarray:
     """Critical observable ``sigma^g (sigma^g rho sigma^g)^(a-1) sigma^g``."""
-    return _critical_observable(rho, positive_spectrum(sigma, cutoff), alpha, cutoff)
+    return _critical_observable(rho, positive_spectrum(sigma), alpha)
 
 
 def _critical_observable(
-    rho: np.ndarray, sigma_spec: Spectrum, alpha: float, cutoff: float
+    rho: np.ndarray, sigma_spec: Spectrum, alpha: float
 ) -> np.ndarray:
     """:func:`h_hat` on an already decomposed sigma."""
     gamma = RenyiOrder(alpha).gamma
-    s_g = sigma_spec.on_support(lambda lam: lam**gamma, cutoff)
+    s_g = sigma_spec.on_support(lambda lam: lam**gamma)
     x = hermitian_part(s_g @ rho @ s_g)
-    core = matrix_power_on_support(x, alpha - 1.0, cutoff)
+    core = matrix_power_on_support(x, alpha - 1.0)
     return hermitian_part(s_g @ core @ s_g)
 
 
@@ -296,32 +265,28 @@ def _critical_observable(
 # ---------------------------------------------------------------------------
 
 
-def von_neumann_entropy(rho: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> float:
-    lam, _ = hermitian_eig(rho).supported(cutoff)
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    lam, _ = hermitian_eig(rho).supported()
     return float(-np.sum(lam * np.log2(lam)))
 
 
-def renyi_entropy(
-    rho: np.ndarray, alpha: float, cutoff: float = DEFAULT_CUTOFF
-) -> float:
+def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders."""
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
-    lam, _ = hermitian_eig(rho).supported(cutoff)
+    lam, _ = hermitian_eig(rho).supported()
     if alpha == 1.0:
         return float(-np.sum(lam * np.log2(lam)))
     if alpha == math.inf:
         return float(-np.log2(np.max(lam)))
     if alpha == 0.0:
         return float(np.log2(lam.size))
-    return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+    return _log2_trace_power(lam, alpha) / (1.0 - alpha)
 
 
-def conditional_entropy(state: BipartiteState, cutoff: float = DEFAULT_CUTOFF) -> float:
+def conditional_entropy(state: BipartiteState) -> float:
     """Von Neumann conditional entropy S(AB) - S(B)."""
-    return von_neumann_entropy(state.mat, cutoff) - von_neumann_entropy(
-        state.marginal_b(), cutoff
-    )
+    return von_neumann_entropy(state.mat) - von_neumann_entropy(state.marginal_b())
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +300,6 @@ def _fixed_point_step(
     dim_b: int,
     sigma_b: np.ndarray,
     order: RenyiOrder,
-    cutoff: float,
     required_rank: int,
 ):
     """One multiplicative update for the conditional-entropy minimization.
@@ -347,12 +311,12 @@ def _fixed_point_step(
     """
     alpha = order.alpha
     spec = hermitian_eig(sigma_b)
-    if alpha > 1.0 and int(np.sum(spec.support_mask(cutoff))) < required_rank:
+    if alpha > 1.0 and int(np.sum(spec.support_mask())) < required_rank:
         return math.inf, None
-    s_g = spec.on_support(lambda lam: lam**order.gamma, cutoff)
+    s_g = spec.on_support(lambda lam: lam**order.gamma)
     big = np.kron(np.eye(dim_a, dtype=np.complex128), s_g)
     x = hermitian_part(big @ rho_ab @ big)
-    xa = hermitian_eig(x).on_support(lambda lam: lam**alpha, cutoff)
+    xa = hermitian_eig(x).on_support(lambda lam: lam**alpha)
     q = float(np.trace(xa).real)
     if q <= 0.0:
         return math.inf, None
@@ -398,14 +362,7 @@ def _state_from_log_params(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return hermitian_part(basis @ small @ basis.conj().T)
 
 
-def conditional_renyi(
-    state: BipartiteState,
-    alpha: float,
-    cutoff: float = DEFAULT_CUTOFF,
-    max_iter: int = 500,
-    fp_tol: float = 1e-12,
-    polish: str = "auto",
-):
+def conditional_renyi(state: BipartiteState, alpha: float):
     """Renyi conditional entropy ``-min_sigma D_a(rho_AB || 1_A (x) sigma_B)``.
 
     Returns ``(value, sigma_b)`` with the optimizing state.  The minimum is
@@ -413,24 +370,23 @@ def conditional_renyi(
     ``sigma <- tr_A[((1 (x) sigma^g) rho (1 (x) sigma^g))^a]`` (normalized),
     whose stationary point is the unique optimum of this convex problem;
     an exp-parameterized quasi-Newton polish on the support of rho_B is run
-    when the iteration has not fully converged (``polish="auto"``), always
-    (``"always"``), or never (``"never"``).
+    when the iteration has not fully converged.
     """
     if alpha < 0.5:
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
     rho_b = state.marginal_b()
     if alpha == 1.0:
-        return conditional_entropy(state, cutoff), rho_b
+        return conditional_entropy(state), rho_b
     order = RenyiOrder(alpha)
     rho_ab = state.mat
     dim_a, dim_b = state.dim_a, state.dim_b
 
-    _, basis = positive_spectrum(rho_b, cutoff).supported(cutoff)
+    _, basis = positive_spectrum(rho_b).supported()
     r = basis.shape[1]
 
     def objective(sig):
         # D(rho_AB || 1_A (x) sigma_B), guarding the support requirement
-        return _fixed_point_step(rho_ab, dim_a, dim_b, sig, order, cutoff, r)[0]
+        return _fixed_point_step(rho_ab, dim_a, dim_b, sig, order, r)[0]
 
     def psd_state(m):
         # project onto states of full rank on supp(rho_B): extrapolated
@@ -445,17 +401,17 @@ def conditional_renyi(
         return hermitian_part(spec.reconstruct(vals))
 
     sigma = rho_b.copy()
-    val, nxt = _fixed_point_step(rho_ab, dim_a, dim_b, sigma, order, cutoff, r)
+    val, nxt = _fixed_point_step(rho_ab, dim_a, dim_b, sigma, order, r)
     best_val, best_sigma = val, sigma
     damp = 1.0
     residual = math.inf
     prev_sigma = None
     prev_nxt = None
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         if nxt is None:
             break
         cur_res = max_abs(nxt - sigma)
-        if cur_res < fp_tol:
+        if cur_res < _FP_TOL:
             residual = cur_res
             break
         accepted = None
@@ -471,7 +427,7 @@ def conditional_renyi(
                 acc = psd_state(nxt - theta * (nxt - prev_nxt))
                 if acc is not None:
                     acc_val, acc_nxt = _fixed_point_step(
-                        rho_ab, dim_a, dim_b, acc, order, cutoff, r
+                        rho_ab, dim_a, dim_b, acc, order, r
                     )
                     if (
                         acc_nxt is not None
@@ -485,7 +441,7 @@ def conditional_renyi(
             else:
                 candidate = hermitian_part((1.0 - damp) * sigma + damp * nxt)
             cand_val, cand_nxt = _fixed_point_step(
-                rho_ab, dim_a, dim_b, candidate, order, cutoff, r
+                rho_ab, dim_a, dim_b, candidate, order, r
             )
             if cand_val > val + 1e-13:
                 damp *= 0.5
@@ -498,11 +454,10 @@ def conditional_renyi(
         residual = max_abs(nxt - sigma) if nxt is not None else 0.0
         if val < best_val:
             best_val, best_sigma = val, sigma
-        if residual < fp_tol:
+        if residual < _FP_TOL:
             break
 
-    needs_polish = polish == "always" or (polish == "auto" and residual > 1e-10)
-    if polish != "never" and needs_polish and r > 0:
+    if residual > 1e-10 and r > 0:
         small = hermitian_part(basis.conj().T @ best_sigma @ basis)
         spec = hermitian_eig(small)
         floor = max(float(np.max(spec.eigenvalues)), 1e-12) * 1e-9
@@ -534,20 +489,18 @@ def conditional_renyi(
     return -best_val, best_sigma
 
 
-def duality_gap(
-    state: BipartiteState, alpha: float, cutoff: float = DEFAULT_CUTOFF
-) -> float:
+def duality_gap(state: BipartiteState, alpha: float) -> float:
     """|S_a(A|B) + S_b(A|C)| over a purification, with 1/a + 1/b = 2."""
     order = RenyiOrder(alpha) if alpha != 1.0 else None
     if alpha <= 0.5:
         raise ValueError("duality pair requires alpha > 1/2")
     beta = order.dual_beta if order is not None else 1.0
-    value_b, _ = conditional_renyi(state, alpha, cutoff)
+    value_b, _ = conditional_renyi(state, alpha)
     dim_a, dim_b = state.dim_a, state.dim_b
-    psi, dim_c = purify(state.mat, cutoff)
+    psi, dim_c = purify(state.mat)
     # reorder A (x) B (x) C  ->  A (x) C (x) B, then trace out B
     psi_acb = psi.reshape(dim_a, dim_b, dim_c).transpose(0, 2, 1).reshape(-1)
     rho_acb = projector(psi_acb)
     rho_ac = partial_trace(rho_acb, dim_a * dim_c, dim_b, keep="A")
-    value_c, _ = conditional_renyi(BipartiteState(rho_ac, dim_a, dim_c), beta, cutoff)
+    value_c, _ = conditional_renyi(BipartiteState(rho_ac, dim_a, dim_c), beta)
     return abs(value_b + value_c)

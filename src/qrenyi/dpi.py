@@ -22,7 +22,6 @@ from .divergences import (
 )
 from .errors import DimensionMismatch, DisjointSupports, SupportViolation
 from .linalg import (
-    DEFAULT_CUTOFF,
     as_complex_matrix,
     hermitian_part,
     matrix_power_on_support,
@@ -83,15 +82,11 @@ class RecoveryMap:
 
 
 def dpi_check(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    channel: QuantumChannel,
-    alpha: float,
-    cutoff: float = DEFAULT_CUTOFF,
+    rho: np.ndarray, sigma: np.ndarray, channel: QuantumChannel, alpha: float
 ) -> DpiReport:
     """Evaluate both sides of the processing inequality at order alpha."""
-    lhs = srd(rho, sigma, alpha, cutoff)
-    rhs = srd(apply(channel, rho), apply(channel, sigma), alpha, cutoff)
+    lhs = srd(rho, sigma, alpha)
+    rhs = srd(apply(channel, rho), apply(channel, sigma), alpha)
     if lhs.is_finite and rhs.is_finite:
         gap = lhs.value - rhs.value
     elif not lhs.is_finite and rhs.is_finite:
@@ -101,9 +96,9 @@ def dpi_check(
     return DpiReport(lhs, rhs, gap, alpha)
 
 
-def _check_equality_preconditions(rho, sigma, alpha, cutoff):
+def _check_equality_preconditions(rho, sigma, alpha):
     """Reject support cases with no equality condition; return sigma's spectrum."""
-    _, spec_sig, case = _classified_spectra(rho, sigma, cutoff)
+    _, spec_sig, case = _classified_spectra(rho, sigma)
     if alpha > 1.0 and case != CONTAINED:
         raise SupportViolation(
             "equality condition needs supp(rho) inside supp(sigma) for alpha > 1"
@@ -128,13 +123,12 @@ def equality_residual(
     channel: QuantumChannel,
     alpha: float,
     eq_tol: float = EQ_TOL,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> EqualityCertificate:
     """Algebraic equality test: compares the critical observable of
     (rho, sigma) with the adjoint-pulled-back observable of the outputs."""
-    spec_sig = _check_equality_preconditions(rho, sigma, alpha, cutoff)
-    lhs_op = _critical_observable(rho, spec_sig, alpha, cutoff)
-    out_h = h_hat(apply(channel, rho), apply(channel, sigma), alpha, cutoff)
+    spec_sig = _check_equality_preconditions(rho, sigma, alpha)
+    lhs_op = _critical_observable(rho, spec_sig, alpha)
+    out_h = h_hat(apply(channel, rho), apply(channel, sigma), alpha)
     rhs_op = apply_adjoint(channel, out_h)
     return _certificate(lhs_op, rhs_op, eq_tol)
 
@@ -145,7 +139,6 @@ def equality_residual_stinespring(
     channel: QuantumChannel,
     alpha: float,
     eq_tol: float = EQ_TOL,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> EqualityCertificate:
     """Same certificate computed through the explicit unitary dilation.
 
@@ -153,10 +146,10 @@ def equality_residual_stinespring(
     tracing, and the adjoint from the isometry; kept as a cross-check for
     the Kraus route.
     """
-    spec_sig = _check_equality_preconditions(rho, sigma, alpha, cutoff)
+    spec_sig = _check_equality_preconditions(rho, sigma, alpha)
     dil = stinespring(channel)
-    lhs_op = _critical_observable(rho, spec_sig, alpha, cutoff)
-    out_h = h_hat(dil.apply(rho), dil.apply(sigma), alpha, cutoff)
+    lhs_op = _critical_observable(rho, spec_sig, alpha)
+    out_h = h_hat(dil.apply(rho), dil.apply(sigma), alpha)
     rhs_op = dil.apply_adjoint(out_h)
     return _certificate(lhs_op, rhs_op, eq_tol)
 
@@ -168,20 +161,17 @@ def equality_residual_partial_trace(
     dim_b: int,
     alpha: float,
     eq_tol: float = EQ_TOL,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> EqualityCertificate:
     """Equality certificate specialized to tracing out the B factor.
 
     Compares the A-marginal critical observable, tensored with 1_B,
     against the joint critical observable.
     """
-    spec_sig = _check_equality_preconditions(rho_ab, sigma_ab, alpha, cutoff)
+    spec_sig = _check_equality_preconditions(rho_ab, sigma_ab, alpha)
     rho_a = partial_trace(rho_ab, dim_a, dim_b, keep="A")
     sigma_a = partial_trace(sigma_ab, dim_a, dim_b, keep="A")
-    lhs_op = tensor(
-        h_hat(rho_a, sigma_a, alpha, cutoff), np.eye(dim_b, dtype=np.complex128)
-    )
-    rhs_op = _critical_observable(rho_ab, spec_sig, alpha, cutoff)
+    lhs_op = tensor(h_hat(rho_a, sigma_a, alpha), np.eye(dim_b, dtype=np.complex128))
+    rhs_op = _critical_observable(rho_ab, spec_sig, alpha)
     return _certificate(lhs_op, rhs_op, eq_tol)
 
 
@@ -209,15 +199,12 @@ def petz_recovery(sigma: np.ndarray, channel: QuantumChannel) -> RecoveryMap:
 
 
 def sufficiency_test(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    channel: QuantumChannel,
-    tol: float = EQ_TOL,
+    rho: np.ndarray, sigma: np.ndarray, channel: QuantumChannel
 ) -> bool:
-    """Whether the sigma-anchored recovery map also restores rho."""
+    """Whether the sigma-anchored recovery map also restores rho (to ``EQ_TOL``)."""
     rec = petz_recovery(sigma, channel)
     back = apply(rec.channel, apply(channel, rho))
-    return max_abs(back - as_complex_matrix(rho)) <= tol
+    return max_abs(back - as_complex_matrix(rho)) <= EQ_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +223,11 @@ class ViolationSearchResult:
     trials: int
 
 
-def _two_qubit_gap(rho_ab, sigma_ab, alpha, cutoff=DEFAULT_CUTOFF) -> float:
-    lhs = srd(rho_ab, sigma_ab, alpha, cutoff)
+def _two_qubit_gap(rho_ab, sigma_ab, alpha) -> float:
+    lhs = srd(rho_ab, sigma_ab, alpha)
     rho_a = partial_trace(rho_ab, 2, 2, keep="A")
     sigma_a = partial_trace(sigma_ab, 2, 2, keep="A")
-    rhs = srd(rho_a, sigma_a, alpha, cutoff)
+    rhs = srd(rho_a, sigma_a, alpha)
     if not (lhs.is_finite and rhs.is_finite):
         return math.inf
     return lhs.value - rhs.value
@@ -255,11 +242,7 @@ def _states_from_factors(g_rho: np.ndarray, g_sig: np.ndarray):
 
 
 def dpi_violation_search(
-    alpha: float,
-    trials: int,
-    seed: int,
-    refine_steps: int = 200,
-    cutoff: float = DEFAULT_CUTOFF,
+    alpha: float, trials: int, seed: int, refine_steps: int = 200
 ) -> ViolationSearchResult:
     """Random search for processing-inequality violations at alpha < 1/2.
 
@@ -279,7 +262,7 @@ def dpi_violation_search(
         g_rho = _complex_gaussian(rng, (4, rank_r))
         g_sig = _complex_gaussian(rng, (4, rank_s))
         rho, sig = _states_from_factors(g_rho, g_sig)
-        gap = _two_qubit_gap(rho, sig, alpha, cutoff)
+        gap = _two_qubit_gap(rho, sig, alpha)
         if gap < best[0]:
             best = (gap, g_rho, g_sig)
 
@@ -305,7 +288,7 @@ def dpi_violation_search(
         return gr, gs.reshape(shape_s)
 
     def score(c):
-        return _two_qubit_gap(*_states_from_factors(*unpack(c)), alpha, cutoff)
+        return _two_qubit_gap(*_states_from_factors(*unpack(c)), alpha)
 
     step = 0.1
     k = 0
@@ -416,14 +399,12 @@ def fuchs_caves_observable(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return hermitian_part(isq @ mid @ isq)
 
 
-def measurement_dpi_gap_half(
-    rho: np.ndarray, sigma: np.ndarray, povm, cutoff: float = DEFAULT_CUTOFF
-) -> float:
+def measurement_dpi_gap_half(rho: np.ndarray, sigma: np.ndarray, povm) -> float:
     """Order-1/2 divergence gap across the measurement channel of a POVM."""
     from .channels import measurement_channel
 
     chan = measurement_channel(povm)
-    report = dpi_check(rho, sigma, chan, 0.5, cutoff)
+    report = dpi_check(rho, sigma, chan, 0.5)
     return report.gap
 
 

@@ -18,7 +18,6 @@ from .divergences import (
 )
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
 from .linalg import (
-    DEFAULT_CUTOFF,
     as_complex_matrix,
     fidelity,
     hermitian_eig,
@@ -27,6 +26,10 @@ from .linalg import (
     partial_trace,
 )
 from .states import BipartiteState, projector, purify, rank_profile, substream
+
+#: Cross-term threshold and rotation count of :func:`check_saturation_conditions`.
+_SATURATION_CROSS_TOL = 1e-8
+_SATURATION_ROTATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,7 @@ class FeEqualityReport:
     fidelity_squared: float
 
 
-def araki_lieb_renyi(
-    state: BipartiteState, alpha: float, cutoff: float = DEFAULT_CUTOFF
-) -> ArakiLiebReport:
+def araki_lieb_renyi(state: BipartiteState, alpha: float) -> ArakiLiebReport:
     """Evaluate the conditional-entropy sandwich at order alpha.
 
     The lower bound uses the dual order beta with 1/alpha + 1/beta = 2;
@@ -108,9 +109,9 @@ def araki_lieb_renyi(
         raise ValueError("alpha must be >= 1/2")
     beta = 1.0 if alpha == 1.0 else RenyiOrder(alpha).dual_beta
     rho_a = state.marginal_a()
-    value, _ = conditional_renyi(state, alpha, cutoff)
-    upper = renyi_entropy(rho_a, alpha, cutoff)
-    lower = -renyi_entropy(rho_a, beta, cutoff)
+    value, _ = conditional_renyi(state, alpha)
+    upper = renyi_entropy(rho_a, alpha)
+    lower = -renyi_entropy(rho_a, beta)
     return ArakiLiebReport(lower, value, upper, value - lower, alpha, beta)
 
 
@@ -139,13 +140,7 @@ def saturating_state(spec: SaturatingSpec, dim_b: int | None = None) -> Bipartit
     return BipartiteState(hermitian_part(rho), dim_a, dim_b)
 
 
-def check_saturation_conditions(
-    state: BipartiteState,
-    cross_tol: float = 1e-8,
-    rotations: int = 100,
-    seed: int = 0,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> SaturationCheck:
+def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
     """Test the rank identity and the cross-term spectral condition.
 
     The cross-term condition asks for an eigenbasis with
@@ -153,12 +148,12 @@ def check_saturation_conditions(
     eigenbasis is not unique, so the residual is minimized over seeded
     random intra-eigenspace rotations (the identity is always tried).
     """
-    profile = rank_profile(state, cutoff)
+    profile = rank_profile(state)
     rank_ok = profile.r_b == profile.r_a * profile.r_ab
     rho_a = state.marginal_a()
     spec = hermitian_eig(state.mat)
     lam_max = float(np.max(spec.eigenvalues))
-    lam, vecs = spec.supported(cutoff)
+    lam, vecs = spec.supported()
     r = lam.size
 
     # group (nearly) equal eigenvalues; rotations act inside groups only
@@ -186,8 +181,8 @@ def check_saturation_conditions(
 
     best = residual_for(vecs)
     if degenerate:
-        for trial in range(rotations):
-            rng = substream(seed, trial)
+        for trial in range(_SATURATION_ROTATIONS):
+            rng = substream(0, trial)
             rotated = vecs.copy()
             for a, b in groups:
                 if b - a == 1:
@@ -199,9 +194,9 @@ def check_saturation_conditions(
                 q = q * (np.diag(rr) / np.abs(np.diag(rr)))
                 rotated[:, a:b] = vecs[:, a:b] @ q
             best = min(best, residual_for(rotated))
-            if best <= cross_tol:
+            if best <= _SATURATION_CROSS_TOL:
                 break
-    cross_ok = best <= cross_tol
+    cross_ok = best <= _SATURATION_CROSS_TOL
     return SaturationCheck(rank_ok and cross_ok, rank_ok, cross_ok, best)
 
 
@@ -210,22 +205,20 @@ def check_saturation_conditions(
 # ---------------------------------------------------------------------------
 
 
-def eof_lower_bound(state: BipartiteState, cutoff: float = DEFAULT_CUTOFF) -> float:
+def eof_lower_bound(state: BipartiteState) -> float:
     """``max(-S(A|B), -S(B|A), 0)`` on the von Neumann side."""
-    s_ab = conditional_entropy(state, cutoff)
-    s_ba = conditional_entropy(state.swapped(), cutoff)
+    s_ab = conditional_entropy(state)
+    s_ba = conditional_entropy(state.swapped())
     return max(-s_ab, -s_ba, 0.0)
 
 
-def reof_lower_bound(
-    state: BipartiteState, alpha: float, cutoff: float = DEFAULT_CUTOFF
-) -> float:
+def reof_lower_bound(state: BipartiteState, alpha: float) -> float:
     """``max(-S_b(A|B), -S_b(B|A), 0)`` with b = a/(2a-1), for a > 1."""
     if alpha <= 1.0:
         raise ValueError("bound stated for alpha > 1")
     beta = RenyiOrder(alpha).dual_beta
-    v_ab, _ = conditional_renyi(state, beta, cutoff)
-    v_ba, _ = conditional_renyi(state.swapped(), beta, cutoff)
+    v_ab, _ = conditional_renyi(state, beta)
+    v_ba, _ = conditional_renyi(state.swapped(), beta)
     return max(-v_ab, -v_ba, 0.0)
 
 
@@ -242,7 +235,6 @@ def reof_minimize(
     ensemble_size: int | None = None,
     restarts: int = 4,
     seed: int = 0,
-    cutoff: float = DEFAULT_CUTOFF,
     maxiter: int = 400,
 ):
     """Minimize the ensemble-averaged Renyi entanglement entropy.
@@ -254,7 +246,7 @@ def reof_minimize(
     an upper bound on the true minimum together with the realizing
     ensemble.
     """
-    lam, vecs = hermitian_eig(state.mat).supported(cutoff)
+    lam, vecs = hermitian_eig(state.mat).supported()
     lam, vecs = lam[::-1], vecs[:, ::-1]
     r = lam.size
     m = ensemble_size if ensemble_size is not None else min(r * r, 16)
@@ -277,7 +269,7 @@ def reof_minimize(
                 continue
             psi = tilde[:, i] / np.sqrt(w)
             red = partial_trace(projector(psi), state.dim_a, state.dim_b, "A")
-            total += w * renyi_entropy(red, alpha, cutoff)
+            total += w * renyi_entropy(red, alpha)
         return total
 
     def unpack(x: np.ndarray) -> np.ndarray:
@@ -333,7 +325,6 @@ def entanglement_fidelity(
     rho: np.ndarray,
     channel: QuantumChannel,
     purification: np.ndarray | None = None,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> float:
     """Overlap of a purification with its image under ``N (x) id``.
 
@@ -345,7 +336,7 @@ def entanglement_fidelity(
     if channel.dim_in != d or channel.dim_out != d:
         raise DimensionMismatch("channel must act on the state's space")
     if purification is None:
-        psi, r = purify(rho_m, cutoff)
+        psi, r = purify(rho_m)
     else:
         psi = np.asarray(purification, dtype=np.complex128).reshape(-1)
         if psi.size % d != 0:
@@ -361,9 +352,7 @@ def entanglement_fidelity(
     return min(max(val, 0.0), 1.0)
 
 
-def fe_equality_check(
-    rho: np.ndarray, channel: QuantumChannel, cutoff: float = DEFAULT_CUTOFF
-) -> FeEqualityReport:
+def fe_equality_check(rho: np.ndarray, channel: QuantumChannel) -> FeEqualityReport:
     """Compare the entanglement fidelity against the fidelity-squared bound.
 
     The bound is tight exactly on pure states; mixed inputs give a
@@ -371,6 +360,6 @@ def fe_equality_check(
     """
     rho_m = as_complex_matrix(rho)
     f_sq = fidelity(rho_m, apply(channel, rho_m)) ** 2
-    f_e = entanglement_fidelity(rho_m, channel, cutoff=cutoff)
-    rank = hermitian_eig(rho_m).supported(cutoff)[0].size
+    f_e = entanglement_fidelity(rho_m, channel)
+    rank = hermitian_eig(rho_m).supported()[0].size
     return FeEqualityReport(f_sq - f_e, rank == 1, f_e, f_sq)

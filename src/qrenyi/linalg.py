@@ -25,8 +25,8 @@ from .errors import (
 #: Relative hermiticity tolerance (against the max-entry magnitude).
 HERMITICITY_TOL = 1e-9
 
-#: Relative eigenvalue cutoff defining numerical supports.
-DEFAULT_CUTOFF = 1e-10
+#: Relative eigenvalue cutoff of the support rule and the negative floor.
+SUPPORT_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,23 @@ class Spectrum:
         vals = self.eigenvalues if values is None else values
         return (v * vals) @ v.conj().T
 
-    def support_threshold(self, cutoff: float = DEFAULT_CUTOFF) -> float:
-        """Eigenvalues at or below ``cutoff * max(1, lambda_max)`` count as 0."""
+    def support_threshold(self) -> float:
+        """Eigenvalues at or below ``SUPPORT_CUTOFF * max(1, lam_max)`` are 0."""
         lam_max = float(np.max(self.eigenvalues)) if self.eigenvalues.size else 0.0
-        return cutoff * max(1.0, lam_max)
+        return SUPPORT_CUTOFF * max(1.0, lam_max)
 
-    def support_mask(self, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+    def support_mask(self) -> np.ndarray:
         """Keep mask of the eigenpairs spanning the numerical support."""
-        return self.eigenvalues > self.support_threshold(cutoff)
+        return self.eigenvalues > self.support_threshold()
 
-    def supported(self, cutoff: float = DEFAULT_CUTOFF):
+    def supported(self):
         """``(eigenvalues, eigenvectors)`` on the numerical support, ascending."""
-        keep = self.support_mask(cutoff)
+        keep = self.support_mask()
         return self.eigenvalues[keep], self.eigenvectors[:, keep]
 
-    def on_support(self, fn, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+    def on_support(self, fn) -> np.ndarray:
         """Hermitian matrix with ``fn`` of the supported eigenvalues, 0 elsewhere."""
-        keep = self.support_mask(cutoff)
+        keep = self.support_mask()
         vals = np.zeros_like(self.eigenvalues)
         vals[keep] = fn(self.eigenvalues[keep])
         return hermitian_part(self.reconstruct(vals))
@@ -99,12 +99,12 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate hermiticity and return the symmetrized matrix.
 
     Raises NonFiniteInput when an entry is NaN or infinite, and
-    NonHermitianInput when ``max|A - A^dag|`` exceeds ``tol`` times the
-    max-entry magnitude of A.
+    NonHermitianInput when ``max|A - A^dag|`` exceeds ``HERMITICITY_TOL``
+    times the max-entry magnitude of A.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -113,9 +113,9 @@ def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise NonFiniteInput("matrix has a NaN or infinite entry")
     scale = max_abs(m)
     defect = max_abs(m - m.conj().T)
-    if defect > tol * max(scale, 1e-300):
+    if defect > HERMITICITY_TOL * max(scale, 1e-300):
         raise NonHermitianInput(
-            f"hermiticity defect {defect:.3e} exceeds {tol:.1e} x {scale:.3e}"
+            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e} x {scale:.3e}"
         )
     return hermitian_part(m)
 
@@ -136,16 +136,16 @@ def hermitian_eig(h: np.ndarray) -> Spectrum:
     return Spectrum(evals, v)
 
 
-def positive_spectrum(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> Spectrum:
+def positive_spectrum(a: np.ndarray) -> Spectrum:
     """:func:`hermitian_eig` of a positive semidefinite operator.
 
-    Eigenvalues down to ``-cutoff * max(1, |lambda|_max)`` count as roundoff
-    of 0; anything below that floor raises NegativeEigenvalue.
+    Eigenvalues down to ``-SUPPORT_CUTOFF * max(1, |lambda|_max)`` count as
+    roundoff of 0; anything below that floor raises NegativeEigenvalue.
     """
     spec = hermitian_eig(a)
     if spec.eigenvalues.size:
         low, high = spec.eigenvalues[0], spec.eigenvalues[-1]  # ascending
-        floor = -cutoff * max(1.0, -low, high)
+        floor = -SUPPORT_CUTOFF * max(1.0, -low, high)
         if low < floor:
             raise NegativeEigenvalue(
                 f"eigenvalue {low:.3e} below allowed floor {floor:.3e}"
@@ -153,36 +153,28 @@ def positive_spectrum(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> Spectrum
     return spec
 
 
-def support_of(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> SupportInfo:
+def support_of(a: np.ndarray) -> SupportInfo:
     """Support projector of a positive semidefinite operator.
 
-    Eigenvalues above ``cutoff * max(1, lambda_max)`` count towards the
-    rank; anything in ``[-cutoff*max(1,|lambda|_max), threshold]`` is treated
-    as zero, and eigenvalues below that floor raise NegativeEigenvalue.
+    Eigenvalues above :meth:`Spectrum.support_threshold` count towards the
+    rank; anything between the :func:`positive_spectrum` floor and the
+    threshold is treated as zero, and eigenvalues below that floor raise
+    NegativeEigenvalue.
     """
-    spec = positive_spectrum(a, cutoff)
-    projector = spec.on_support(np.ones_like, cutoff)
-    rank = int(np.sum(spec.support_mask(cutoff)))
-    return SupportInfo(rank, projector, spec.support_threshold(cutoff))
+    spec = positive_spectrum(a)
+    projector = spec.on_support(np.ones_like)
+    rank = int(np.sum(spec.support_mask()))
+    return SupportInfo(rank, projector, spec.support_threshold())
 
 
-def matrix_power_on_support(
-    a: np.ndarray, p: float, cutoff: float = DEFAULT_CUTOFF
-) -> np.ndarray:
+def matrix_power_on_support(a: np.ndarray, p: float) -> np.ndarray:
     """``A^p`` evaluated on the support of A (pseudo-inverse convention).
 
     Eigenvalues above the support threshold map to ``lambda^p``; the rest
     map to 0 (this clamps small negative roundoff).  ``p == 0`` returns the
     support projector.
     """
-    return matrix_function_on_support(a, lambda lam: lam**p, cutoff)
-
-
-def matrix_function_on_support(
-    a: np.ndarray, fn, cutoff: float = DEFAULT_CUTOFF
-) -> np.ndarray:
-    """Apply a scalar function to the supported eigenvalues, zero elsewhere."""
-    return positive_spectrum(a, cutoff).on_support(fn, cutoff)
+    return positive_spectrum(a).on_support(lambda lam: lam**p)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

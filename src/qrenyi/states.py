@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import (
-    DEFAULT_CUTOFF,
     as_complex_matrix,
     check_hermitian,
     hermitian_eig,
@@ -41,26 +40,26 @@ def _as_rng(seed) -> np.random.Generator:
     return substream(int(seed))
 
 
-def check_positive(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
-    """Validate positive semidefiniteness (up to -cutoff) and symmetrize."""
+def check_positive(a: np.ndarray) -> np.ndarray:
+    """Validate positive semidefiniteness (up to roundoff) and symmetrize."""
     m = check_hermitian(a)
-    positive_spectrum(m, cutoff)
+    positive_spectrum(m)
     return m
 
 
-def check_density(rho: np.ndarray, trace_tol: float = TRACE_TOL) -> np.ndarray:
+def check_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace."""
     m = check_positive(rho)
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr!r} deviates from 1 by more than {trace_tol}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
     return m
 
 
-def check_pure(psi: np.ndarray, norm_tol: float = NORM_TOL) -> np.ndarray:
+def check_pure(psi: np.ndarray) -> np.ndarray:
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > norm_tol:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"pure-state norm {nrm!r} deviates from 1")
     return v
 
@@ -116,10 +115,10 @@ class RankProfile:
     r_b: int
 
 
-def rank_profile(state: BipartiteState, cutoff: float = DEFAULT_CUTOFF) -> RankProfile:
-    r_ab = support_of(state.mat, cutoff).rank
-    r_a = support_of(state.marginal_a(), cutoff).rank
-    r_b = support_of(state.marginal_b(), cutoff).rank
+def rank_profile(state: BipartiteState) -> RankProfile:
+    r_ab = support_of(state.mat).rank
+    r_a = support_of(state.marginal_a()).rank
+    r_b = support_of(state.marginal_b()).rank
     return RankProfile(r_ab, r_a, r_b)
 
 
@@ -129,7 +128,7 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128) / d
 
 
-def purify(rho: np.ndarray, cutoff: float = DEFAULT_CUTOFF):
+def purify(rho: np.ndarray):
     """Canonical purification of a state.
 
     Returns ``(psi, r)`` where ``psi`` is a unit vector on H (x) H' with
@@ -137,7 +136,7 @@ def purify(rho: np.ndarray, cutoff: float = DEFAULT_CUTOFF):
     over the supported eigenpairs in descending eigenvalue order.  Tracing
     out H' recovers ``rho``.
     """
-    lam, vecs = hermitian_eig(rho).supported(cutoff)
+    lam, vecs = hermitian_eig(rho).supported()
     psi = (vecs[:, ::-1] * np.sqrt(lam[::-1])).reshape(-1)
     return psi, lam.size
 

@@ -8,6 +8,7 @@ when its failure list is empty.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -328,7 +329,7 @@ def run_petz_sufficiency(
 
 
 def run_fidelity_measurement(
-    seed: int = 6, trials: int = 8, dims: int = 2, tolerances=None
+    seed: int = 6, trials: int = 8, tolerances=None
 ) -> SuiteReport:
     """A fidelity-attaining two-outcome measurement nulls the order-1/2 gap
     while the recovery map fails: equality without sufficiency."""
@@ -360,9 +361,7 @@ def run_fidelity_measurement(
     return _finish(report, t0)
 
 
-def run_duality(
-    seed: int = 7, trials: int = 50, dims: int = 2, tolerances=None
-) -> SuiteReport:
+def run_duality(seed: int = 7, trials: int = 50, tolerances=None) -> SuiteReport:
     """Conditional-entropy duality across a purification at dual orders."""
     t0 = time.perf_counter()
     tol = _tol(tolerances, "gap", 2e-6)
@@ -389,9 +388,7 @@ def _random_saturating_spec(rng) -> SaturatingSpec:
     return SaturatingSpec(2, 2, lam, mu)
 
 
-def run_araki_lieb(
-    seed: int = 8, trials: int = 300, dims: int = 2, tolerances=None
-) -> SuiteReport:
+def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteReport:
     """Conditional-entropy sandwich on random states plus exact saturation
     of the constructed states at the dual pair (2, 2/3)."""
     t0 = time.perf_counter()
@@ -427,9 +424,7 @@ def run_araki_lieb(
     return _finish(report, t0)
 
 
-def run_reof(
-    seed: int = 9, trials: int = 4, dims: int = 2, tolerances=None
-) -> SuiteReport:
+def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
     """Formation-entropy minimizer against its analytic targets."""
     t0 = time.perf_counter()
     sat_tol = _tol(tolerances, "saturating", 1e-4)
@@ -517,7 +512,7 @@ def run_entanglement_fidelity_purity(
 
 
 def run_violation_search(
-    seed: int = 11, trials: int = 20000, dims: int = 2, tolerances=None, alpha: float = 0.3
+    seed: int = 11, trials: int = 20000, tolerances=None, alpha: float = 0.3
 ) -> SuiteReport:
     """Processing-inequality violation hunt below 1/2 with its 1/2 control."""
     t0 = time.perf_counter()
@@ -610,8 +605,14 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:
+    """Run a named suite; raises ValueError for an option the suite does not take."""
     if name not in SUITES:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    return SUITES[name](**kwargs)
+    runner = SUITES[name]
+    try:
+        inspect.signature(runner).bind(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"suite {name!r}: {exc}") from None
+    return runner(**kwargs)

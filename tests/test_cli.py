@@ -234,6 +234,23 @@ class TestSuiteCommand:
         code, _ = _run(capsys, ["suite", "--name", "does-not-exist"])
         assert code == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize(
+        "extra", [["--dims", "9", "--trials", "1"], ["--alpha", "3"]], ids=["dims", "alpha"]
+    )
+    def test_option_the_suite_does_not_take(self, capsys, extra):
+        code = main(["suite", "--name", "duality", *extra])
+        assert code == EXIT_PARSE_ERROR
+        assert "unexpected keyword argument" in capsys.readouterr().err
+
+    def test_alpha_reaches_the_violation_suite(self, capsys):
+        code, out = _run(
+            capsys,
+            ["suite", "--name", "dpi-violation-below-half", "--alpha", "0.35",
+             "--trials", "200", "--seed", "11"],
+        )
+        assert code in (EXIT_OK, EXIT_SUITE_FAILURE)
+        assert out["summary"]["violation_alpha"] == 0.35
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys, tmp_path):

@@ -387,6 +387,16 @@ class TestEntropies:
         assert abs(renyi_entropy(rho, math.inf) - 1.0) < 1e-12
         assert abs(renyi_entropy(rho, 0.0) - math.log2(3.0)) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [3000.0, 1e4])
+    def test_renyi_entropy_large_order_finite(self, alpha):
+        # tr(rho^alpha) underflows here; the log-domain sum keeps it finite
+        rho = random_density(2, 2, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = renyi_entropy(rho, alpha)
+        assert math.isfinite(got)
+        assert renyi_entropy(rho, math.inf) <= got <= renyi_entropy(rho, 1000.0)
+
     def test_von_neumann(self):
         assert abs(von_neumann_entropy(projector(random_pure(4, 2)))) < 1e-9
         assert abs(von_neumann_entropy(maximally_mixed(2)) - 1.0) < 1e-12

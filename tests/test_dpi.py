@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qrenyi.channels import (
     amplitude_damping,
@@ -28,6 +30,7 @@ from qrenyi.dpi import (
 from qrenyi.errors import NegativeEigenvalue
 from qrenyi.linalg import fidelity, hermitian_eig, max_abs, tensor
 from qrenyi.states import random_density, random_unitary, substream
+from qrenyi.suites import _constructed_equality_instance, _random_triple
 
 ALPHAS = (0.5, 0.75, 1.5, 2.0, 3.0)
 
@@ -384,3 +387,39 @@ class TestSpectralReuse:
         good = random_density(2, 2, 613)
         with pytest.raises(NegativeEigenvalue):
             op(bad, good) if bad_is_rho else op(good, bad)
+
+
+# alpha in [1/2, 5]; near alpha = 1 the 1/(alpha - 1) factor amplifies roundoff
+orders = st.floats(0.5, 5.0).filter(lambda a: abs(a - 1.0) > 1e-3)
+
+property_settings = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+
+class TestDpiProperties:
+    """The processing inequality and the equality certificate on triples
+    drawn the way the acceptance suites draw them."""
+
+    @property_settings
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), orders)
+    def test_gap_nonnegative(self, dmax, seed, alpha):
+        rho, sigma, lam = _random_triple(np.random.default_rng(seed), dmax)
+        assert dpi_check(rho, sigma, lam, alpha).gap >= -1e-9
+
+    @property_settings
+    @given(
+        st.sampled_from(["unitary", "product-trace"]), st.integers(0, 2**32 - 1), orders
+    )
+    def test_certificate_equal_on_equality_instances(self, kind, seed, alpha):
+        rng = np.random.default_rng(seed)
+        rho, sigma, lam = _constructed_equality_instance(rng, kind)
+        assert equality_residual(rho, sigma, lam, alpha).verdict == "equal"
+        assert abs(dpi_check(rho, sigma, lam, alpha).gap) <= 1e-6
+
+    @property_settings
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1), orders)
+    def test_certificate_not_equal_on_positive_gap(self, dmax, seed, alpha):
+        rho, sigma, lam = _random_triple(np.random.default_rng(seed), dmax)
+        assume(dpi_check(rho, sigma, lam, alpha).gap > 1e-3)
+        assert equality_residual(rho, sigma, lam, alpha).verdict == "not-equal"

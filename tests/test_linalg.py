@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import warnings
 
 import numpy as np
@@ -179,7 +181,7 @@ class TestSupport:
         np.testing.assert_allclose(info.projector, np.eye(3), atol=1e-14)
 
     def test_cutoff_rule(self):
-        info = support_of(np.diag([1.0, 1e-15]).astype(complex), cutoff=1e-10)
+        info = support_of(np.diag([1.0, 1e-15]).astype(complex))
         assert info.rank == 1
 
     def test_projector_idempotent(self, rng):
@@ -327,3 +329,27 @@ class TestTraceNormAndFidelity:
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fidelity(np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 3)
+
+
+class TestNoSupportKnobs:
+    """The support rule has one constant and no per-call override."""
+
+    REMOVED = {"cutoff", "tol", "trace_tol", "norm_tol", "tp_tol", "cross_tol",
+               "rotations", "max_iter", "fp_tol", "polish"}
+
+    def test_no_function_takes_a_removed_parameter(self):
+        names = ("channels", "cli", "divergences", "dpi", "entanglement", "linalg",
+                 "states", "suites")
+        mods = [importlib.import_module(f"qrenyi.{n}") for n in names]
+        found = []
+        for mod in mods:
+            for name, obj in vars(mod).items():
+                if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                    members = [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+                else:
+                    members = [(name, obj)]
+                for qual, fn in members:
+                    if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                        bad = self.REMOVED & set(inspect.signature(fn).parameters)
+                        found += [f"{mod.__name__}.{qual}({p})" for p in bad]
+        assert found == []
