@@ -56,7 +56,7 @@ print(f"   |R(L(rho))   - rho|   = {max_abs(back_rho - rho):.2e}")
 print(f"   sufficiency_test: {sufficiency_test(rho, sigma, damp)}")
 
 print("\n3) Equality at order 1/2 without recoverability")
-povm, classical_fid = fidelity_attaining_povm(rho, sigma, seed=3)
+povm, classical_fid = fidelity_attaining_povm(rho, sigma)
 chan = measurement_channel(povm)
 report = dpi_check(rho, sigma, chan, 0.5)
 print(f"   state fidelity              = {fidelity(rho, sigma):.10f}")

@@ -4,7 +4,6 @@ diagnostics, recovery maps, and entanglement measures at desk scale."""
 __version__ = "0.1.0"
 
 from .channels import (
-    HeisenbergWeylSet,
     QuantumChannel,
     StinespringDilation,
     amplitude_damping,
@@ -12,8 +11,6 @@ from .channels import (
     apply_adjoint,
     completely_dephasing,
     depolarizing,
-    heisenberg_weyl,
-    hw_twirl,
     identity_channel,
     measurement_channel,
     partial_trace_channel,

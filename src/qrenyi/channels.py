@@ -245,10 +245,15 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
 
 
 def depolarizing(d: int, p: float = 1.0) -> QuantumChannel:
-    """``rho -> (1-p) rho + p pi_d`` built from the Heisenberg-Weyl set."""
-    hw = heisenberg_weyl(d)
+    """``rho -> (1-p) rho + p tr(rho) pi_d``.
+
+    Kraus operators are ``sqrt(1-p) 1`` and the d^2 matrix units
+    ``sqrt(p/d) |i><j|``, which send rho to ``p tr(rho) 1/d``.
+    """
+    if d < 1 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"need d >= 1 and 0 <= p <= 1, got d={d}, p={p}")
     kraus = [np.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)]
-    kraus += [(np.sqrt(p) / d) * v for v in hw.operators]
+    kraus += list(np.sqrt(p / d) * np.eye(d * d).reshape(d * d, d, d))
     return QuantumChannel(kraus)
 
 
@@ -288,49 +293,3 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed) -> Quantum
     stack = stack @ matrix_power_on_support(gram, -0.5)
     kraus = [stack[i * dim_out : (i + 1) * dim_out, :] for i in range(kraus_count)]
     return QuantumChannel(kraus)
-
-
-# ---------------------------------------------------------------------------
-# Heisenberg-Weyl operators and the twirl
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HeisenbergWeylSet:
-    """Clock-and-shift unitaries ``X^a Z^b`` for a, b in 0..d-1."""
-
-    dim: int
-    operators: tuple
-
-
-def heisenberg_weyl(d: int) -> HeisenbergWeylSet:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    shift = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    omega = np.exp(2j * np.pi / d)
-    clock = np.diag(omega ** np.arange(d))
-    ops = []
-    xa = np.eye(d, dtype=np.complex128)
-    for _ in range(d):
-        zb = np.eye(d, dtype=np.complex128)
-        for _ in range(d):
-            ops.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return HeisenbergWeylSet(d, tuple(ops))
-
-
-def hw_twirl(state) -> "BipartiteState":
-    """Average over ``1_A (x) V_i`` conjugations; maps to ``rho_A (x) pi_B``."""
-    from .states import BipartiteState
-
-    hw = heisenberg_weyl(state.dim_b)
-    eye_a = np.eye(state.dim_a, dtype=np.complex128)
-    acc = np.zeros_like(state.mat)
-    for v in hw.operators:
-        big = np.kron(eye_a, v)
-        acc += big @ state.mat @ big.conj().T
-    acc /= state.dim_b**2
-    return BipartiteState(hermitian_part(acc), state.dim_a, state.dim_b)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     AbsoluteContinuityViolation,
@@ -27,6 +26,7 @@ from .linalg import (
     hermitian_part,
     matrix_power_on_support,
     max_abs,
+    minimize,
     partial_trace,
     positive_spectrum,
 )

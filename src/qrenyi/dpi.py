@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import QuantumChannel, apply, apply_adjoint, stinespring
 from .divergences import (
@@ -23,6 +22,7 @@ from .divergences import (
 from .errors import DimensionMismatch, DisjointSupports, SupportViolation
 from .linalg import (
     as_complex_matrix,
+    hermitian_eig,
     hermitian_part,
     matrix_power_on_support,
     max_abs,
@@ -30,7 +30,7 @@ from .linalg import (
     positive_spectrum,
     tensor,
 )
-from .states import _complex_gaussian, substream
+from .states import _complex_gaussian, projector, substream
 
 #: Relative threshold on the operator residual of the equality certificate.
 EQ_TOL = 1e-7
@@ -325,87 +325,38 @@ def classical_fidelity(p, q) -> float:
     return float(np.sum(np.sqrt(np.clip(pv, 0, None) * np.clip(qv, 0, None))))
 
 
-def fidelity_attaining_povm(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    seed: int = 0,
-    restarts: int = 8,
-):
-    """Two-outcome qubit POVM whose outcome statistics attain F(rho, sigma).
+def fidelity_attaining_povm(rho: np.ndarray, sigma: np.ndarray):
+    """Projective measurement whose outcome statistics attain F(rho, sigma).
 
-    Minimizes the classical fidelity of the outcome distributions over
-    POVMs ``{M, 1 - M}`` with ``M = U diag(m0, m1) U^dag`` by bounded
-    quasi-Newton descent from several seeded starts.  Returns
-    ``(povm, classical_fid)``; the minimum matches the state fidelity.
+    Projectors onto an eigenbasis of :func:`fuchs_caves_observable` (Fuchs
+    & Caves 1995) that keeps ker(sigma) apart, in any dimension.  Returns
+    ``(povm, classical_fid)``, where ``classical_fid`` is the fidelity of
+    the outcome distributions of rho and sigma and matches F(rho, sigma).
     """
     rho_m = as_complex_matrix(rho)
     sig_m = as_complex_matrix(sigma)
-    if rho_m.shape != (2, 2) or sig_m.shape != (2, 2):
-        raise DimensionMismatch("measurement search is for qubit pairs")
-
-    def build(params):
-        theta, phi, m0, m1 = params
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        u = np.array(
-            [[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]],
-            dtype=np.complex128,
-        )
-        return u @ np.diag([m0, m1]).astype(np.complex128) @ u.conj().T
-
-    def cost(params):
-        m = build(params)
-        comp = np.eye(2) - m
-        p = [np.trace(m @ rho_m).real, np.trace(comp @ rho_m).real]
-        q = [np.trace(m @ sig_m).real, np.trace(comp @ sig_m).real]
-        return classical_fidelity(p, q)
-
-    bounds = [(0.0, np.pi), (0.0, 2.0 * np.pi), (0.0, 1.0), (0.0, 1.0)]
-    best_val, best_params = math.inf, None
-    for k in range(restarts):
-        rng = substream(seed, k)
-        x0 = np.array(
-            [
-                rng.uniform(0, np.pi),
-                rng.uniform(0, 2 * np.pi),
-                rng.uniform(0, 1),
-                rng.uniform(0, 1),
-            ]
-        )
-        res = minimize(
-            cost,
-            x0,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 400, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        if res.fun < best_val:
-            best_val, best_params = float(res.fun), res.x
-    m = build(best_params)
-    povm = [hermitian_part(m), hermitian_part(np.eye(2) - m)]
-    return povm, best_val
+    # -1 on ker(sigma) keeps kernel vectors out of the eigenspaces on the support
+    spec = positive_spectrum(sig_m)
+    shift = spec.reconstruct(np.where(spec.support_mask(), 0.0, -1.0))
+    vecs = hermitian_eig(fuchs_caves_observable(rho_m, sig_m) + shift).eigenvectors
+    povm = [projector(v) for v in vecs.T]
+    p = [np.trace(m @ rho_m).real for m in povm]
+    q = [np.trace(m @ sig_m).real for m in povm]
+    return povm, classical_fidelity(p, q)
 
 
 def fuchs_caves_observable(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Geometric-mean observable whose eigenbasis attains the fidelity.
 
     ``sigma^-1/2 (sigma^1/2 rho sigma^1/2)^1/2 sigma^-1/2``; measuring in
-    its eigenbasis reproduces F(rho, sigma) classically.  Used as the
-    analytic cross-check for :func:`fidelity_attaining_povm`.
+    its eigenbasis reproduces F(rho, sigma) classically, which is how
+    :func:`fidelity_attaining_povm` builds its measurement.
     """
     spec = positive_spectrum(sigma)
     isq = spec.on_support(lambda lam: lam**-0.5)
     sq = spec.on_support(lambda lam: lam**0.5)
     mid = matrix_power_on_support(hermitian_part(sq @ rho @ sq), 0.5)
     return hermitian_part(isq @ mid @ isq)
-
-
-def measurement_dpi_gap_half(rho: np.ndarray, sigma: np.ndarray, povm) -> float:
-    """Order-1/2 divergence gap across the measurement channel of a POVM."""
-    from .channels import measurement_channel
-
-    chan = measurement_channel(povm)
-    report = dpi_check(rho, sigma, chan, 0.5)
-    return report.gap
 
 
 __all__ = [
@@ -423,7 +374,6 @@ __all__ = [
     "equality_residual_stinespring",
     "fidelity_attaining_povm",
     "fuchs_caves_observable",
-    "measurement_dpi_gap_half",
     "petz_recovery",
     "sufficiency_test",
 ]

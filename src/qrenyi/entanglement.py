@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import QuantumChannel, apply
 from .divergences import (
@@ -23,13 +22,13 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     max_abs,
+    minimize,
     partial_trace,
 )
 from .states import BipartiteState, projector, purify, rank_profile, substream
 
-#: Cross-term threshold and rotation count of :func:`check_saturation_conditions`.
+#: Cross-term threshold of :func:`check_saturation_conditions`.
 _SATURATION_CROSS_TOL = 1e-8
-_SATURATION_ROTATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -143,61 +142,22 @@ def saturating_state(spec: SaturatingSpec, dim_b: int | None = None) -> Bipartit
 def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
     """Test the rank identity and the cross-term spectral condition.
 
-    The cross-term condition asks for an eigenbasis with
-    ``tr_B |i><j| = delta_ij rho_A``.  Within a degenerate eigenspace the
-    eigenbasis is not unique, so the residual is minimized over seeded
-    random intra-eigenspace rotations (the identity is always tried).
+    The cross-term condition asks for an orthonormal basis ``|i>`` of the
+    support with ``tr_B |i><j| = delta_ij rho_A``.  With V holding the
+    basis, the condition says that ``Y -> tr_B(V Y V^dag) - tr(Y) rho_A``
+    vanishes; replacing V by ``V U`` conjugates Y by U, so the condition
+    holds for one such basis exactly when it holds for all of them, and
+    the eigenbasis decides it.
     """
     profile = rank_profile(state)
     rank_ok = profile.r_b == profile.r_a * profile.r_ab
-    rho_a = state.marginal_a()
-    spec = hermitian_eig(state.mat)
-    lam_max = float(np.max(spec.eigenvalues))
-    lam, vecs = spec.supported()
-    r = lam.size
-
-    # group (nearly) equal eigenvalues; rotations act inside groups only
-    groups = []
-    start = 0
-    for i in range(1, r + 1):
-        if i == r or abs(lam[i] - lam[i - 1]) > 1e-8 * max(1.0, lam_max):
-            groups.append((start, i))
-            start = i
-    degenerate = any(b - a > 1 for a, b in groups)
-
-    def residual_for(v):
-        worst = 0.0
-        for i in range(r):
-            for j in range(i, r):
-                m = partial_trace(
-                    np.outer(v[:, i], v[:, j].conj()),
-                    state.dim_a,
-                    state.dim_b,
-                    keep="A",
-                )
-                target = rho_a if i == j else 0.0
-                worst = max(worst, max_abs(m - target))
-        return worst
-
-    best = residual_for(vecs)
-    if degenerate:
-        for trial in range(_SATURATION_ROTATIONS):
-            rng = substream(0, trial)
-            rotated = vecs.copy()
-            for a, b in groups:
-                if b - a == 1:
-                    continue
-                g = rng.normal(size=(b - a, b - a)) + 1j * rng.normal(
-                    size=(b - a, b - a)
-                )
-                q, rr = np.linalg.qr(g)
-                q = q * (np.diag(rr) / np.abs(np.diag(rr)))
-                rotated[:, a:b] = vecs[:, a:b] @ q
-            best = min(best, residual_for(rotated))
-            if best <= _SATURATION_CROSS_TOL:
-                break
-    cross_ok = best <= _SATURATION_CROSS_TOL
-    return SaturationCheck(rank_ok and cross_ok, rank_ok, cross_ok, best)
+    _, vecs = hermitian_eig(state.mat).supported()
+    t = vecs.reshape(state.dim_a, state.dim_b, -1)
+    cross = np.einsum("abi,cbj->ijac", t, t.conj())
+    cross -= np.einsum("ij,ac->ijac", np.eye(t.shape[2]), state.marginal_a())
+    residual = max_abs(cross)
+    cross_ok = residual <= _SATURATION_CROSS_TOL
+    return SaturationCheck(rank_ok and cross_ok, rank_ok, cross_ok, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,6 @@ class SupportInfo:
     cutoff_used: float
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def max_abs(a: np.ndarray) -> float:
     """Max-entry norm ``max_ij |a_ij|``."""
     return float(np.max(np.abs(a))) if a.size else 0.0
@@ -240,3 +236,12 @@ def fidelity(omega: np.ndarray, tau: np.ndarray) -> float:
     st = matrix_power_on_support(t, 0.5)
     val = trace_norm(sw @ st)
     return float(min(max(val, 0.0), 1.0))
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call to keep ``import
+    qrenyi`` fast.  ``divergences`` and ``entanglement`` call it through their
+    own binding of this name, which ``bench/tracer.py`` wraps to count nfev."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)

@@ -20,9 +20,6 @@ from .linalg import (
 #: Allowed deviation of a density matrix trace from 1.
 TRACE_TOL = 1e-10
 
-#: Allowed deviation of a pure-state norm from 1.
-NORM_TOL = 1e-12
-
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Independent counter-based random stream for (seed, trial indices).
@@ -54,14 +51,6 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
     return m
-
-
-def check_pure(psi: np.ndarray) -> np.ndarray:
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"pure-state norm {nrm!r} deviates from 1")
-    return v
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

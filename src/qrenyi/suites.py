@@ -96,8 +96,38 @@ def _finish(report: SuiteReport, t0: float) -> SuiteReport:
     return report
 
 
-def _tol(tolerances, key, default):
-    return float(tolerances.get(key, default)) if tolerances else default
+#: Tolerance keys of each suite and their defaults; ``--tolerance`` may set
+#: only these.
+TOLERANCES = {
+    "dpi-holds": {"gap": 1e-9},
+    "equality-certificate": {
+        "eq_tol": EQ_TOL,
+        "gap_tol": CROSS_TOL,
+        "generic_gap": 1e-3,
+        "generic_residual": 1e-4,
+    },
+    "stinespring-agreement": {"agreement": 1e-9},
+    "variational-form": {"tol": 1e-9},
+    "petz-sufficiency": {"gap": 1e-8},
+    "fidelity-measurement": {"gap": 1e-6},
+    "duality": {"gap": 2e-6},
+    "araki-lieb": {"slack": 2e-6, "saturation": 1e-5},
+    "reof": {"saturating": 1e-4, "maximally_entangled": 1e-6, "product": 1e-8},
+    "entanglement-fidelity-purity": {"pure": 1e-10, "mixed": 1e-4},
+    "dpi-violation-below-half": {"violation": 1e-4, "control": 1e-9},
+    "classical-reduction": {"commuting": 1e-10, "continuity": 1e-3},
+}
+
+
+def _tolerances(suite: str, given) -> dict:
+    """The suite's default tolerances with the caller's values merged in."""
+    unknown = sorted(set(given or ()) - set(TOLERANCES[suite]))
+    if unknown:
+        raise ValueError(
+            f"suite {suite!r} has no tolerance {', '.join(unknown)}; "
+            f"known: {', '.join(TOLERANCES[suite])}"
+        )
+    return {**TOLERANCES[suite], **{k: float(v) for k, v in (given or {}).items()}}
 
 
 def _random_triple(rng, dmax: int):
@@ -118,7 +148,7 @@ def run_dpi_holds(
 ) -> SuiteReport:
     """Gap non-negativity across the alpha grid on random triples."""
     t0 = time.perf_counter()
-    gap_floor = -_tol(tolerances, "gap", 1e-9)
+    gap_floor = -_tolerances("dpi-holds", tolerances)["gap"]
     report = SuiteReport("dpi-holds", seed, trials)
     min_gap = math.inf
     for ai, alpha in enumerate(ALPHA_GRID):
@@ -159,10 +189,7 @@ def run_equality_certificate(
 ) -> SuiteReport:
     """Soundness and completeness of the operator equality certificate."""
     t0 = time.perf_counter()
-    eq_tol = _tol(tolerances, "eq_tol", EQ_TOL)
-    gap_tol = _tol(tolerances, "gap_tol", CROSS_TOL)
-    min_generic_gap = _tol(tolerances, "generic_gap", 1e-3)
-    min_generic_residual = _tol(tolerances, "generic_residual", 1e-4)
+    tol = _tolerances("equality-certificate", tolerances)
     report = SuiteReport("equality-certificate", seed, trials)
     max_eq_residual = 0.0
     min_neq_residual = math.inf
@@ -171,10 +198,10 @@ def run_equality_certificate(
         alpha = ALPHA_GRID[t % len(ALPHA_GRID)]
         kind = "unitary" if t % 2 == 0 else "product-trace"
         rho, sigma, lam = _constructed_equality_instance(rng, kind)
-        cert = equality_residual(rho, sigma, lam, alpha, eq_tol)
+        cert = equality_residual(rho, sigma, lam, alpha, tol["eq_tol"])
         rep = dpi_check(rho, sigma, lam, alpha)
         max_eq_residual = max(max_eq_residual, cert.residual)
-        if cert.verdict != "equal" or abs(rep.gap) > gap_tol:
+        if cert.verdict != "equal" or abs(rep.gap) > tol["gap_tol"]:
             report.failures.append(
                 {
                     "case": "constructed",
@@ -191,15 +218,15 @@ def run_equality_certificate(
             rng = substream(seed, 1, t, attempt)
             rho, sigma, lam = _random_triple(rng, dims)
             rep = dpi_check(rho, sigma, lam, alpha)
-            if rep.gap > min_generic_gap:
+            if rep.gap > tol["generic_gap"]:
                 gap = rep.gap
-                cert = equality_residual(rho, sigma, lam, alpha, eq_tol)
+                cert = equality_residual(rho, sigma, lam, alpha, tol["eq_tol"])
                 break
         if cert is None:
             report.failures.append({"case": "generic-sampling", "trial": t})
             continue
         min_neq_residual = min(min_neq_residual, cert.residual)
-        if cert.residual <= min_generic_residual or cert.verdict == "equal":
+        if cert.residual <= tol["generic_residual"] or cert.verdict == "equal":
             report.failures.append(
                 {
                     "case": "generic",
@@ -221,7 +248,7 @@ def run_stinespring_agreement(
 ) -> SuiteReport:
     """Kraus-adjoint and dilation routes produce the same certificate."""
     t0 = time.perf_counter()
-    tol = _tol(tolerances, "agreement", 1e-9)
+    tol = _tolerances("stinespring-agreement", tolerances)["agreement"]
     report = SuiteReport("stinespring-agreement", seed, trials)
     worst = 0.0
     for t in range(trials):
@@ -247,7 +274,7 @@ def run_variational_form(
     """The critical observable attains the trace functional and no random
     candidate beats it (sup for alpha > 1, inf below 1)."""
     t0 = time.perf_counter()
-    tol = _tol(tolerances, "tol", 1e-9)
+    tol = _tolerances("variational-form", tolerances)["tol"]
     report = SuiteReport("variational-form", seed, trials)
     worst_attain = 0.0
     worst_beat = 0.0
@@ -290,7 +317,7 @@ def run_petz_sufficiency(
     """Recovery-map sufficiency matches the order-2 equality certificate,
     and sufficient instances have zero gap at every tested alpha > 1."""
     t0 = time.perf_counter()
-    gap_tol = _tol(tolerances, "gap", 1e-8)
+    gap_tol = _tolerances("petz-sufficiency", tolerances)["gap"]
     report = SuiteReport("petz-sufficiency", seed, trials)
     n_true = 0
     for t in range(trials):
@@ -328,19 +355,17 @@ def run_petz_sufficiency(
     return _finish(report, t0)
 
 
-def run_fidelity_measurement(
-    seed: int = 6, trials: int = 8, tolerances=None
-) -> SuiteReport:
-    """A fidelity-attaining two-outcome measurement nulls the order-1/2 gap
-    while the recovery map fails: equality without sufficiency."""
+def run_fidelity_measurement(seed: int = 6, tolerances=None) -> SuiteReport:
+    """A fidelity-attaining qubit measurement nulls the order-1/2 gap while
+    the recovery map fails: equality without sufficiency."""
     t0 = time.perf_counter()
-    gap_tol = _tol(tolerances, "gap", 1e-6)
-    report = SuiteReport("fidelity-measurement", seed, trials)
+    gap_tol = _tolerances("fidelity-measurement", tolerances)["gap"]
+    report = SuiteReport("fidelity-measurement", seed, 1)
     rng = substream(seed, 0)
     rho = random_density(2, 2, rng)
     sigma = random_density(2, 2, rng)
     comm = max_abs(rho @ sigma - sigma @ rho)
-    povm, f_cl = fidelity_attaining_povm(rho, sigma, seed=seed, restarts=trials)
+    povm, f_cl = fidelity_attaining_povm(rho, sigma)
     f_q = fidelity(rho, sigma)
     chan = measurement_channel(povm)
     rep = dpi_check(rho, sigma, chan, 0.5)
@@ -364,7 +389,7 @@ def run_fidelity_measurement(
 def run_duality(seed: int = 7, trials: int = 50, tolerances=None) -> SuiteReport:
     """Conditional-entropy duality across a purification at dual orders."""
     t0 = time.perf_counter()
-    tol = _tol(tolerances, "gap", 2e-6)
+    tol = _tolerances("duality", tolerances)["gap"]
     report = SuiteReport("duality", seed, trials)
     worst = 0.0
     for pi, alpha in enumerate((2.0, 3.0, 0.75)):
@@ -392,8 +417,7 @@ def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteRe
     """Conditional-entropy sandwich on random states plus exact saturation
     of the constructed states at the dual pair (2, 2/3)."""
     t0 = time.perf_counter()
-    slack = _tol(tolerances, "slack", 2e-6)
-    sat_tol = _tol(tolerances, "saturation", 1e-5)
+    tol = _tolerances("araki-lieb", tolerances)
     report = SuiteReport("araki-lieb", seed, trials)
     worst_slack = 0.0
     for t in range(trials):
@@ -406,7 +430,7 @@ def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteRe
         rep = araki_lieb_renyi(state, alpha)
         violation = max(rep.lower - rep.value, rep.value - rep.upper)
         worst_slack = max(worst_slack, violation)
-        if violation > slack:
+        if violation > tol["slack"]:
             report.failures.append(
                 {"case": "sandwich", "trial": t, "alpha": alpha, "violation": violation}
             )
@@ -418,7 +442,7 @@ def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteRe
         s_alpha = renyi_entropy(state.marginal_a(), 2.0)
         sat = abs(value + s_alpha)
         worst_sat = max(worst_sat, sat)
-        if sat > sat_tol:
+        if sat > tol["saturation"]:
             report.failures.append({"case": "saturation", "trial": t, "residual": sat})
     report.summary = {"worst_sandwich_violation": worst_slack, "worst_saturation": worst_sat}
     return _finish(report, t0)
@@ -427,9 +451,7 @@ def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteRe
 def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
     """Formation-entropy minimizer against its analytic targets."""
     t0 = time.perf_counter()
-    sat_tol = _tol(tolerances, "saturating", 1e-4)
-    me_tol = _tol(tolerances, "maximally_entangled", 1e-6)
-    prod_tol = _tol(tolerances, "product", 1e-8)
+    tol = _tolerances("reof", tolerances)
     report = SuiteReport("reof", seed, trials)
     worst_sat = 0.0
     for t in range(trials):
@@ -439,7 +461,7 @@ def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
         target, _ = conditional_renyi(state, 2.0 / 3.0)
         err = abs(value - (-target))
         worst_sat = max(worst_sat, err)
-        if err > sat_tol:
+        if err > tol["saturating"]:
             report.failures.append({"case": "saturating", "trial": t, "err": err})
         recon = max_abs(ensemble.reconstruct() - state.mat)
         if recon > 1e-9:
@@ -455,7 +477,7 @@ def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
     phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
     me_state = BipartiteState(projector(phi), 2, 2)
     me_val, _ = reof_minimize(me_state, 2.0, restarts=1, seed=seed)
-    if abs(me_val - 1.0) > me_tol:
+    if abs(me_val - 1.0) > tol["maximally_entangled"]:
         report.failures.append({"case": "maximally-entangled", "value": me_val})
     worst_prod = 0.0
     for t in range(trials):
@@ -465,7 +487,7 @@ def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
             BipartiteState(prod, 2, 2), 2.0, ensemble_size=8, restarts=1, seed=seed + t
         )
         worst_prod = max(worst_prod, abs(val))
-        if abs(val) > prod_tol:
+        if abs(val) > tol["product"]:
             report.failures.append({"case": "product", "trial": t, "value": val})
     report.summary = {
         "worst_saturating_error": worst_sat,
@@ -480,8 +502,7 @@ def run_entanglement_fidelity_purity(
 ) -> SuiteReport:
     """The fidelity-squared bound is tight exactly on pure inputs."""
     t0 = time.perf_counter()
-    pure_tol = _tol(tolerances, "pure", 1e-10)
-    mixed_floor = _tol(tolerances, "mixed", 1e-4)
+    tol = _tolerances("entanglement-fidelity-purity", tolerances)
     report = SuiteReport("entanglement-fidelity-purity", seed, trials)
     worst_pure = 0.0
     for t in range(trials):
@@ -491,7 +512,7 @@ def run_entanglement_fidelity_purity(
         lam = random_channel(d, d, int(rng.integers(1, 4)), rng)
         rep = fe_equality_check(projector(psi), lam)
         worst_pure = max(worst_pure, abs(rep.bound_gap))
-        if abs(rep.bound_gap) > pure_tol or not rep.is_pure:
+        if abs(rep.bound_gap) > tol["pure"] or not rep.is_pure:
             report.failures.append(
                 {"case": "pure", "trial": t, "gap": rep.bound_gap}
             )
@@ -503,7 +524,7 @@ def run_entanglement_fidelity_purity(
         lam = random_channel(d, d, int(rng.integers(1, 4)), rng)
         rep = fe_equality_check(rho, lam)
         min_mixed = min(min_mixed, rep.bound_gap)
-        if rep.bound_gap <= mixed_floor or rep.is_pure:
+        if rep.bound_gap <= tol["mixed"] or rep.is_pure:
             report.failures.append(
                 {"case": "mixed", "trial": t, "gap": rep.bound_gap}
             )
@@ -516,14 +537,13 @@ def run_violation_search(
 ) -> SuiteReport:
     """Processing-inequality violation hunt below 1/2 with its 1/2 control."""
     t0 = time.perf_counter()
-    need_below = -_tol(tolerances, "violation", 1e-4)
-    control_floor = -_tol(tolerances, "control", 1e-9)
+    tol = _tolerances("dpi-violation-below-half", tolerances)
     report = SuiteReport("dpi-violation-below-half", seed, trials)
     found = dpi_violation_search(alpha, trials, seed)
-    if found.gap >= need_below:
+    if found.gap >= -tol["violation"]:
         report.failures.append({"case": "no-violation", "alpha": alpha, "gap": found.gap})
     control = dpi_violation_search(0.5, trials, seed)
-    if control.gap < control_floor:
+    if control.gap < -tol["control"]:
         report.failures.append({"case": "control", "alpha": 0.5, "gap": control.gap})
     report.summary = {
         "violation_gap": found.gap,
@@ -538,8 +558,7 @@ def run_classical_reduction(
 ) -> SuiteReport:
     """Commuting inputs reduce to scalar formulas; alpha -> 1 continuity."""
     t0 = time.perf_counter()
-    tol = _tol(tolerances, "commuting", 1e-10)
-    cont_tol = _tol(tolerances, "continuity", 1e-3)
+    tol = _tolerances("classical-reduction", tolerances)
     report = SuiteReport("classical-reduction", seed, trials)
     worst_comm = 0.0
     for t in range(trials):
@@ -555,14 +574,14 @@ def run_classical_reduction(
                 got = route(rho, sig, alpha).value
                 err = abs(got - oracle)
                 worst_comm = max(worst_comm, err)
-                if err > tol:
+                if err > tol["commuting"]:
                     report.failures.append(
                         {"case": "commuting", "trial": t, "alpha": alpha, "err": err}
                     )
         kl_oracle = float(np.sum(p * np.log2(p / q)))
         err = abs(qre(rho, sig).value - kl_oracle)
         worst_comm = max(worst_comm, err)
-        if err > tol:
+        if err > tol["commuting"]:
             report.failures.append({"case": "commuting-qre", "trial": t, "err": err})
     worst_cont = 0.0
     for t in range(trials):
@@ -577,7 +596,7 @@ def run_classical_reduction(
         for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
             err = abs(srd(rho, sig, alpha).value - base)
             worst_cont = max(worst_cont, err)
-            if err > cont_tol:
+            if err > tol["continuity"]:
                 report.failures.append(
                     {"case": "continuity", "trial": t, "alpha": alpha, "err": err}
                 )

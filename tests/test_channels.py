@@ -8,8 +8,6 @@ from qrenyi.channels import (
     apply_adjoint,
     completely_dephasing,
     depolarizing,
-    heisenberg_weyl,
-    hw_twirl,
     identity_channel,
     measurement_channel,
     partial_trace_channel,
@@ -26,9 +24,7 @@ from qrenyi.errors import (
 )
 from qrenyi.linalg import max_abs, tensor
 from qrenyi.states import (
-    BipartiteState,
     maximally_mixed,
-    projector,
     random_density,
     random_unitary,
     substream,
@@ -55,6 +51,21 @@ class TestApply:
         rho = random_density(2, 2, rng)
         out = apply(depolarizing(2, 1.0), rho)
         assert max_abs(out - maximally_mixed(2)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_depolarizing_formula(self, d):
+        rng = substream(306, d)
+        m = random_hermitian_from(rng, d)
+        for p in (0.0, 0.3, 1.0):
+            chan = depolarizing(d, p)
+            assert len(chan.kraus) == d * d + 1
+            expected = (1.0 - p) * m + p * np.trace(m) * np.eye(d) / d
+            assert max_abs(apply(chan, m) - expected) < 1e-12
+
+    @pytest.mark.parametrize("d, p", [(0, 0.5), (2, 1.5), (2, -0.5)])
+    def test_depolarizing_rejects_out_of_range(self, d, p):
+        with pytest.raises(ValueError):
+            depolarizing(d, p)
 
     def test_full_damping_on_mixed(self):
         out = apply(amplitude_damping(1.0), maximally_mixed(2))
@@ -208,53 +219,6 @@ class TestPinchingAndMeasurement:
         povm = [np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])]
         with pytest.raises(NegativeEigenvalue):
             measurement_channel(povm)
-
-
-class TestHeisenbergWeyl:
-    def test_dimension_one(self):
-        hw = heisenberg_weyl(1)
-        assert len(hw.operators) == 1
-        np.testing.assert_allclose(hw.operators[0], [[1.0]], atol=1e-15)
-
-    def test_qubit_set_is_pauli_up_to_phase(self):
-        hw = heisenberg_weyl(2)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        targets = [np.eye(2, dtype=complex), z, x, x @ z]
-        for got, want in zip(hw.operators, targets):
-            assert max_abs(got - want) < 1e-14
-
-    def test_all_unitary(self):
-        for d in (2, 3, 4):
-            for v in heisenberg_weyl(d).operators:
-                assert max_abs(v.conj().T @ v - np.eye(d)) < 1e-10
-
-    def test_qubit_twirl_identity(self, rng):
-        m = random_hermitian_from(rng, 2)
-        hw = heisenberg_weyl(2)
-        avg = sum(v @ m @ v.conj().T for v in hw.operators) / 4.0
-        assert max_abs(avg - np.trace(m) / 2.0 * np.eye(2)) < 1e-12
-
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 3), (2, 4)])
-    def test_twirl_battery(self, dims):
-        da, db = dims
-        rng = substream(305, da, db)
-        state = BipartiteState(random_density(da * db, da * db, rng), da, db)
-        out = hw_twirl(state)
-        expected = tensor(state.marginal_a(), maximally_mixed(db))
-        assert max_abs(out.mat - expected) < 1e-10
-
-    def test_twirl_fixed_point(self, rng):
-        prod = tensor(random_density(2, 2, rng), maximally_mixed(2))
-        st = BipartiteState(prod, 2, 2)
-        assert max_abs(hw_twirl(st).mat - prod) < 1e-12
-
-    def test_twirl_of_basis_state(self):
-        ket = np.zeros(4, dtype=complex)
-        ket[1] = 1.0  # |0>|1>
-        st = BipartiteState(projector(ket), 2, 2)
-        expected = tensor(np.diag([1.0, 0.0]), np.eye(2) / 2)
-        assert max_abs(hw_twirl(st).mat - expected) < 1e-12
 
 
 class TestRandomChannel:

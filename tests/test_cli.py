@@ -235,12 +235,29 @@ class TestSuiteCommand:
         assert code == EXIT_PARSE_ERROR
 
     @pytest.mark.parametrize(
-        "extra", [["--dims", "9", "--trials", "1"], ["--alpha", "3"]], ids=["dims", "alpha"]
+        "name, extra",
+        [
+            ("duality", ["--dims", "9", "--trials", "1"]),
+            ("duality", ["--alpha", "3"]),
+            ("fidelity-measurement", ["--trials", "8"]),
+        ],
+        ids=["dims", "alpha", "trials"],
     )
-    def test_option_the_suite_does_not_take(self, capsys, extra):
-        code = main(["suite", "--name", "duality", *extra])
+    def test_option_the_suite_does_not_take(self, capsys, name, extra):
+        code = main(["suite", "--name", name, *extra])
         assert code == EXIT_PARSE_ERROR
         assert "unexpected keyword argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tolerance, expected",
+        [("gapp=1e-30", EXIT_PARSE_ERROR), ("gap=1e-30", EXIT_SUITE_FAILURE)],
+        ids=["misspelled", "known"],
+    )
+    def test_tolerance_keys(self, capsys, tolerance, expected):
+        argv = ["suite", "--name", "duality", "--trials", "1", "--tolerance", tolerance]
+        assert main(argv) == expected
+        if expected == EXIT_PARSE_ERROR:
+            assert "no tolerance gapp" in capsys.readouterr().err
 
     def test_alpha_reaches_the_violation_suite(self, capsys):
         code, out = _run(

@@ -16,7 +16,6 @@ from qrenyi.channels import (
 )
 from qrenyi.divergences import classify_supports, d_max, qre, rre, srd
 from qrenyi.dpi import (
-    classical_fidelity,
     dpi_check,
     dpi_violation_search,
     equality_residual,
@@ -314,23 +313,35 @@ class TestFidelityMeasurement:
         rho = random_density(2, 2, rng)
         sig = random_density(2, 2, rng)
         assert max_abs(rho @ sig - sig @ rho) > 1e-3
-        povm, f_cl = fidelity_attaining_povm(rho, sig, seed=3)
+        povm, f_cl = fidelity_attaining_povm(rho, sig)
         assert abs(f_cl - fidelity(rho, sig)) < 1e-9
         chan = measurement_channel(povm)
         rep = dpi_check(rho, sig, chan, 0.5)
         assert abs(rep.gap) <= 1e-6
         assert not sufficiency_test(rho, sig, chan)
 
-    def test_matches_analytic_observable(self):
-        rng = substream(522)
-        rho = random_density(2, 2, rng)
-        sig = random_density(2, 2, rng)
-        _, f_opt = fidelity_attaining_povm(rho, sig, seed=5)
-        spec = hermitian_eig(fuchs_caves_observable(rho, sig))
-        projs = [np.outer(v, v.conj()) for v in spec.eigenvectors.T]
-        p = [float(np.trace(m @ rho).real) for m in projs]
-        q = [float(np.trace(m @ sig).real) for m in projs]
-        assert abs(f_opt - classical_fidelity(p, q)) < 1e-9
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_fuchs_caves_basis_attains_fidelity(self, d):
+        for t in range(10):
+            rng = substream(522, d, t)
+            rho = random_density(d, d, rng)
+            sig = random_density(d, d, rng)
+            povm, f_cl = fidelity_attaining_povm(rho, sig)
+            assert len(povm) == d
+            assert abs(f_cl - fidelity(rho, sig)) <= 1e-12
+            rep = dpi_check(rho, sig, measurement_channel(povm), 0.5)
+            assert abs(rep.gap) <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_rank_deficient_sigma(self, d):
+        # the observable vanishes on ker(sigma) and, with rank(rho) <
+        # rank(sigma), on part of supp(sigma); the basis must not mix them
+        for t in range(10):
+            rng = substream(524, d, t)
+            rho = random_density(d, 1, rng)
+            sig = random_density(d, d - 1, rng)
+            _, f_cl = fidelity_attaining_povm(rho, sig)
+            assert abs(f_cl - fidelity(rho, sig)) <= 1e-7
 
     def test_order_half_equals_minus_two_log_fidelity(self):
         rng = substream(523)

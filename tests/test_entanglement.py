@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrenyi.channels import (
     amplitude_damping,
@@ -86,6 +88,25 @@ class TestSaturatingState:
         prod = tensor(random_density(2, 2, 1), random_density(2, 2, 2))
         chk = check_saturation_conditions(BipartiteState(prod, 2, 2))
         assert not chk.rank_ok
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_holds_after_unitary_on_b(self, r_a, r_ab, degenerate, seed):
+        # the condition does not depend on the basis chosen inside a
+        # degenerate eigenspace, so the eigenbasis numpy returns decides it
+        rng = np.random.default_rng(seed)
+
+        def spectrum(r):
+            if degenerate:
+                return np.full(r, 1.0 / r)
+            return rng.dirichlet(np.ones(r)) * 0.8 + 0.2 / r
+
+        sat = saturating_state(SaturatingSpec(r_a, r_ab, spectrum(r_ab), spectrum(r_a)))
+        u = np.kron(np.eye(sat.dim_a), random_unitary(sat.dim_b, rng))
+        turned = BipartiteState(u @ sat.mat @ u.conj().T, sat.dim_a, sat.dim_b)
+        chk = check_saturation_conditions(turned)
+        assert chk.holds
+        assert chk.residual < 1e-12
 
 
 class TestArakiLieb:
