@@ -10,6 +10,7 @@ from .errors import (
     DimensionMismatch,
     IncompletePOVM,
     IncompleteResolution,
+    NonFiniteInput,
 )
 from .linalg import (
     as_complex_matrix,
@@ -43,6 +44,8 @@ class QuantumChannel:
         for k in ops:
             if k.shape != (d_out, d_in):
                 raise DimensionMismatch("Kraus operators have inconsistent shapes")
+            if not np.all(np.isfinite(k)):
+                raise NonFiniteInput("Kraus operator has a NaN or infinite entry")
         self.kraus = ops
         self.dim_in = d_in
         self.dim_out = d_out

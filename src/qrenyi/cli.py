@@ -32,13 +32,7 @@ from .entanglement import (
     reof_lower_bound,
     reof_minimize,
 )
-from .errors import (
-    DimensionMismatch,
-    DisjointSupports,
-    QRenyiError,
-    SupportViolation,
-    UnknownSuite,
-)
+from .errors import QRenyiError, UnknownSuite
 from .linalg import max_abs
 from .states import BipartiteState, check_density, check_positive
 from .suites import run_suite
@@ -113,7 +107,7 @@ def parse_matrix_doc(doc: dict):
             raise MatrixFileError(f"malformed channel document: {exc}") from exc
         try:
             return QuantumChannel(kraus)
-        except (ValueError, DimensionMismatch) as exc:
+        except (QRenyiError, ValueError) as exc:
             raise MatrixFileError(f"invalid channel: {exc}") from exc
     if kind not in ("state", "positive"):
         raise MatrixFileError(f"unknown kind {kind!r}")
@@ -485,15 +479,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFileError as exc:
+    except (MatrixFileError, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (SupportViolation, DisjointSupports, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except QRenyiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

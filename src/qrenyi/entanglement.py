@@ -18,6 +18,7 @@ from .divergences import (
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
 from .linalg import (
     as_complex_matrix,
+    check_hermitian,
     fidelity,
     hermitian_eig,
     hermitian_part,
@@ -25,7 +26,7 @@ from .linalg import (
     minimize,
     partial_trace,
 )
-from .states import BipartiteState, projector, purify, rank_profile, substream
+from .states import BipartiteState, projector, rank_profile, substream
 
 #: Cross-term threshold of :func:`check_saturation_conditions`.
 _SATURATION_CROSS_TOL = 1e-8
@@ -281,35 +282,18 @@ def reof_minimize(
 # ---------------------------------------------------------------------------
 
 
-def entanglement_fidelity(
-    rho: np.ndarray,
-    channel: QuantumChannel,
-    purification: np.ndarray | None = None,
-) -> float:
+def entanglement_fidelity(rho: np.ndarray, channel: QuantumChannel) -> float:
     """Overlap of a purification with its image under ``N (x) id``.
 
-    Uses the canonical eigen-purification unless an explicit one is given
-    (the value is independent of that choice).
+    Computed as ``sum_k |tr(rho K_k)|^2``, which equals that overlap for
+    every purification of rho.
     """
-    rho_m = as_complex_matrix(rho)
+    rho_m = check_hermitian(rho)
     d = rho_m.shape[0]
     if channel.dim_in != d or channel.dim_out != d:
         raise DimensionMismatch("channel must act on the state's space")
-    if purification is None:
-        psi, r = purify(rho_m)
-    else:
-        psi = np.asarray(purification, dtype=np.complex128).reshape(-1)
-        if psi.size % d != 0:
-            raise DimensionMismatch("purification length incompatible with state")
-        r = psi.size // d
-    eye_r = np.eye(r, dtype=np.complex128)
-    out = np.zeros((d * r, d * r), dtype=np.complex128)
-    big = projector(psi)
-    for k in channel.kraus:
-        kk = np.kron(k, eye_r)
-        out += kk @ big @ kk.conj().T
-    val = float(np.real(np.vdot(psi, out @ psi)))
-    return min(max(val, 0.0), 1.0)
+    val = sum(abs(np.trace(rho_m @ k)) ** 2 for k in channel.kraus)
+    return min(float(val), 1.0)
 
 
 def fe_equality_check(rho: np.ndarray, channel: QuantumChannel) -> FeEqualityReport:

@@ -201,29 +201,13 @@ def partial_trace(
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Trace norm (sum of singular values) of a square matrix.
-
-    Hermitian inputs take the cheaper sum-of-|eigenvalues| route; general
-    inputs go through the Hermitian embedding ``[[0, A], [A^dag, 0]]``,
-    whose spectrum is ``{+s_i, -s_i}``.  The embedding keeps the error in
-    each singular value linear in machine epsilon (a Gram-matrix route
-    would take square roots of roundoff for singular directions).
-    """
+    """Trace norm (sum of singular values) of a square matrix, by LAPACK SVD."""
     m = as_complex_matrix(a)
-    n = m.shape[0]
-    if n != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("trace norm defined here for square input")
-    scale = max_abs(m)
-    if scale == 0.0:
-        return 0.0
-    if max_abs(m - m.conj().T) <= HERMITICITY_TOL * scale:
-        spec = hermitian_eig(m)
-        return float(np.sum(np.abs(spec.eigenvalues)))
-    embed = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    embed[:n, n:] = m
-    embed[n:, :n] = m.conj().T
-    evals = hermitian_eig(embed).eigenvalues
-    return float(0.5 * np.sum(np.abs(evals)))
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def fidelity(omega: np.ndarray, tau: np.ndarray) -> float:
@@ -240,8 +224,9 @@ def fidelity(omega: np.ndarray, tau: np.ndarray) -> float:
 
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call to keep ``import
-    qrenyi`` fast.  ``divergences`` and ``entanglement`` call it through their
-    own binding of this name, which ``bench/tracer.py`` wraps to count nfev."""
+    qrenyi`` fast.  ``entanglement.reof_minimize`` is its one caller, through
+    the module's own binding of this name; ``bench/tracer.py`` wraps that
+    binding, and the unused one in ``divergences``, to count nfev."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)

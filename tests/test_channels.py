@@ -21,6 +21,7 @@ from qrenyi.errors import (
     IncompletePOVM,
     IncompleteResolution,
     NegativeEigenvalue,
+    NonFiniteInput,
 )
 from qrenyi.linalg import max_abs, tensor
 from qrenyi.states import (
@@ -86,6 +87,15 @@ class TestApply:
     def test_not_trace_preserving_rejected(self):
         with pytest.raises(ValueError):
             QuantumChannel([np.eye(2, dtype=complex) * 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_rejected(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            QuantumChannel([k])
+        with pytest.raises(NonFiniteInput):
+            QuantumChannel([k], require_tp=False)
 
 
 class TestAdjoint:

@@ -63,6 +63,15 @@ class TestMatrixFile:
         with pytest.raises(Exception):
             parse_matrix_doc(doc)
 
+    def test_non_finite_channel_exits_parse_error(self, capsys, workdir):
+        _, write = workdir
+        doc = channel_to_doc(amplitude_damping(0.2))
+        doc["kraus"][0]["re"][0] = float("nan")
+        chan = write("nan_channel.json", doc)
+        rho = write("rho.json", matrix_to_doc(maximally_mixed(2), "state"))
+        code, out = _run(capsys, ["entanglement-fidelity", "--rho", rho, "--channel", chan])
+        assert code == EXIT_PARSE_ERROR and out is None
+
     def test_rejects_nonpositive_state(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         doc = matrix_to_doc(bad, "state")

@@ -103,6 +103,20 @@ class TestTraceFunctional:
             want = float(np.sum(p**alpha * q ** (1 - alpha)))
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [2.0, 20.0, 100.0])
+    def test_large_orders_commuting(self, alpha):
+        p = np.array([0.7, 0.2, 0.1])
+        q = np.array([0.05, 0.15, 0.8])
+        got = q_tilde(np.diag(p).astype(complex), np.diag(q).astype(complex), alpha)
+        want = float(np.sum(p**alpha * q ** (1 - alpha)))
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_overflow_is_inf_without_warning(self):
+        rho, sig = random_density(2, 2, 11), random_density(2, 2, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q_tilde(rho, sig, 1000) == math.inf
+
     def test_support_errors(self):
         sigma_def = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(SupportViolation):
@@ -331,6 +345,24 @@ class TestVariational:
         assert f_alpha(np.zeros((3, 3), dtype=complex), rho, sig, 2.0) == 0.0
         assert 0.0 <= q_tilde(rho, sig, 2.0)
 
+    @pytest.mark.parametrize("alpha", [0.75, 1.01, 2.0])
+    def test_commuting_closed_form(self, alpha):
+        # diagonal inputs: f = a sum p h - (a-1) sum h^(a/(a-1)) q
+        p = np.array([0.6, 0.3, 0.1])
+        q = np.array([0.2, 0.3, 0.5])
+        h = np.array([2.0, 1.5, 0.5])
+        got = f_alpha(*(np.diag(v).astype(complex) for v in (h, p, q)), alpha)
+        want = alpha * float(p @ h) - (alpha - 1) * float(np.sum(h ** (alpha / (alpha - 1)) * q))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_overflow_is_signed_inf_without_warning(self):
+        rho, sig = random_density(2, 2, 11), random_density(2, 2, 12)
+        eye = np.eye(2, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f_alpha(50 * eye, rho, sig, 1.001) == -math.inf
+            assert f_alpha(0.01 * eye, rho, sig, 0.999) == math.inf
+
     @pytest.mark.parametrize("alpha", [0.75, 2.0])
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_perturbing_optimizer_strictly_degrades(self, alpha, eps):
@@ -455,6 +487,24 @@ class TestConditionalRenyi:
             assert abs(-achieved.value - value) < 1e-6
             assert classify_supports(st.marginal_b(), opt) == "contained"
 
+    def test_damped_iteration_keeps_its_anderson_step(self, monkeypatch):
+        # the first full step on this state raises the value, so the iteration
+        # is damped from then on; plain damped steps alone need > 2000 steps
+        import qrenyi.divergences as divergences
+
+        calls = []
+        step = divergences._fixed_point_step
+
+        def counting_step(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(divergences, "_fixed_point_step", counting_step)
+        st = BipartiteState(random_density(6, 2, substream(933, 72)), 2, 3)
+        value, _ = conditional_renyi(st, 3.0)
+        assert len(calls) < 200
+        assert abs(value + 0.36521149265626) < 1e-12
+
 
 class TestDuality:
     def test_product_state(self):
@@ -476,6 +526,15 @@ class TestDuality:
     def test_rejects_half(self):
         with pytest.raises(ValueError):
             duality_gap(bell_state(), 0.5)
+
+    def test_fixed_point_alone_closes_slow_state(self, monkeypatch):
+        # at order 3 this state needs more than 500 fixed-point steps
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditional_renyi called minimize")
+
+        monkeypatch.setattr("qrenyi.divergences.minimize", refuse)
+        st = BipartiteState(random_density(4, 4, substream(922, 4, 300, 7)), 2, 2)
+        assert duality_gap(st, 3.0) <= 1e-10
 
 
 # alpha in [1/2, 5]; near alpha = 1 the 1/(alpha - 1) factor amplifies roundoff

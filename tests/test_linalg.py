@@ -299,6 +299,12 @@ class TestTraceNormAndFidelity:
             ref = float(np.sum(np.linalg.svd(g, compute_uv=False)))
             assert abs(trace_norm(g) - ref) < 1e-10 * max(1.0, ref)
 
+    def test_trace_norm_rejects_bad_input(self):
+        with pytest.raises(NonFiniteInput):
+            trace_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            trace_norm(np.ones((2, 3)))
+
     def test_fidelity_self(self, rng):
         rho = random_density(3, 3, rng)
         assert abs(fidelity(rho, rho) - 1.0) < 1e-12
