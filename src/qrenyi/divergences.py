@@ -32,7 +32,7 @@ from .linalg import (
     partial_trace,
     positive_spectrum,
 )
-from .states import BipartiteState, projector, purify
+from .states import BipartiteState, purify
 
 #: Absolute tolerance for support-overlap classification.
 SUPPORT_CLASSIFY_TOL = 1e-9
@@ -290,16 +290,9 @@ def _critical_observable(
 # ---------------------------------------------------------------------------
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    lam, _ = hermitian_eig(rho).supported()
-    return float(-np.sum(lam * np.log2(lam)))
-
-
-def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
-    """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
-    lam, _ = hermitian_eig(rho).supported()
+def _spectrum_entropy(lam: np.ndarray, alpha: float) -> float:
+    """Renyi entropy ``log2 sum(lam**a) / (1-a)`` of a supported spectrum
+    (positive, ascending), with the 0, 1 and inf orders as limits."""
     if alpha == 1.0:
         return float(-np.sum(lam * np.log2(lam)))
     if alpha == math.inf:
@@ -307,6 +300,17 @@ def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     if alpha == 0.0:
         return float(np.log2(lam.size))
     return _log2_trace_power(lam, alpha) / (1.0 - alpha)
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    return _spectrum_entropy(hermitian_eig(rho).supported()[0], 1.0)
+
+
+def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
+    """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders."""
+    if alpha < 0.0:
+        raise ValueError("alpha must be non-negative")
+    return _spectrum_entropy(hermitian_eig(rho).supported()[0], alpha)
 
 
 def conditional_entropy(state: BipartiteState) -> float:
@@ -454,9 +458,8 @@ def duality_gap(state: BipartiteState, alpha: float) -> float:
     value_b, _ = conditional_renyi(state, alpha)
     dim_a, dim_b = state.dim_a, state.dim_b
     psi, dim_c = purify(state.mat)
-    # reorder A (x) B (x) C  ->  A (x) C (x) B, then trace out B
-    psi_acb = psi.reshape(dim_a, dim_b, dim_c).transpose(0, 2, 1).reshape(-1)
-    rho_acb = projector(psi_acb)
-    rho_ac = partial_trace(rho_acb, dim_a * dim_c, dim_b, keep="A")
+    # rows indexed by A (x) C, columns by B: tracing out B is M M^dag
+    m = psi.reshape(dim_a, dim_b, dim_c).transpose(0, 2, 1).reshape(-1, dim_b)
+    rho_ac = m @ m.conj().T
     value_c, _ = conditional_renyi(BipartiteState(rho_ac, dim_a, dim_c), beta)
     return abs(value_b + value_c)

@@ -11,6 +11,7 @@ import numpy as np
 from .channels import QuantumChannel, apply
 from .divergences import (
     RenyiOrder,
+    _spectrum_entropy,
     conditional_entropy,
     conditional_renyi,
     renyi_entropy,
@@ -24,9 +25,9 @@ from .linalg import (
     hermitian_part,
     max_abs,
     minimize,
-    partial_trace,
+    support_threshold,
 )
-from .states import BipartiteState, projector, rank_profile, substream
+from .states import BipartiteState, rank_profile, substream
 
 #: Cross-term threshold of :func:`check_saturation_conditions`.
 _SATURATION_CROSS_TOL = 1e-8
@@ -40,12 +41,8 @@ class PureStateEnsemble:
     states: tuple
 
     def reconstruct(self) -> np.ndarray:
-        acc = np.zeros(
-            (self.states[0].size, self.states[0].size), dtype=np.complex128
-        )
-        for w, psi in zip(self.weights, self.states):
-            acc += w * projector(psi)
-        return acc
+        s = np.stack(self.states, axis=1)
+        return (s * self.weights) @ s.conj().T
 
 
 @dataclass(frozen=True)
@@ -183,11 +180,13 @@ def reof_lower_bound(state: BipartiteState, alpha: float) -> float:
     return max(-v_ab, -v_ba, 0.0)
 
 
-def _ensemble_from_isometry(scaled: np.ndarray, t: np.ndarray):
-    """Weights and normalized states from an m x r mixing isometry."""
+def _ensemble_from_isometry(scaled: np.ndarray, t: np.ndarray, floor: float):
+    """Weights above ``floor`` and their normalized states (as columns) from
+    an m x r mixing isometry."""
     tilde = scaled @ t.T  # column i: sum_j T_ij sqrt(l_j) |e_j>
     weights = np.sum(np.abs(tilde) ** 2, axis=0).real
-    return tilde, weights
+    live = weights > floor
+    return weights[live], tilde[:, live] / np.sqrt(weights[live])
 
 
 def reof_minimize(
@@ -196,7 +195,6 @@ def reof_minimize(
     ensemble_size: int | None = None,
     restarts: int = 4,
     seed: int = 0,
-    maxiter: int = 400,
 ):
     """Minimize the ensemble-averaged Renyi entanglement entropy.
 
@@ -216,22 +214,19 @@ def reof_minimize(
     scaled = vecs * np.sqrt(lam)
 
     def orth(z: np.ndarray) -> np.ndarray:
-        gram = hermitian_part(z.conj().T @ z)
-        gspec = hermitian_eig(gram)
-        clipped = np.clip(gspec.eigenvalues, 1e-14, None)
-        return z @ gspec.reconstruct(1.0 / np.sqrt(clipped))
+        u, _, vh = np.linalg.svd(z, full_matrices=False)
+        return u @ vh
 
     def objective_from_t(t: np.ndarray) -> float:
-        tilde, weights = _ensemble_from_isometry(scaled, t)
-        total = 0.0
-        for i in range(m):
-            w = weights[i]
-            if w < 1e-14:
-                continue
-            psi = tilde[:, i] / np.sqrt(w)
-            red = partial_trace(projector(psi), state.dim_a, state.dim_b, "A")
-            total += w * renyi_entropy(red, alpha)
-        return total
+        weights, psi = _ensemble_from_isometry(scaled, t, 1e-14)
+        members = psi.T.reshape(-1, state.dim_a, state.dim_b)
+        # the reduced spectrum of a pure state is its squared Schmidt
+        # coefficients; svd returns them descending, the entropy wants ascending
+        spectra = np.linalg.svd(members, compute_uv=False)[:, ::-1] ** 2
+        keep = spectra > support_threshold(spectra)[:, None]
+        return sum(
+            w * _spectrum_entropy(s[k], alpha) for w, s, k in zip(weights, spectra, keep)
+        )
 
     def unpack(x: np.ndarray) -> np.ndarray:
         half = m * r
@@ -257,7 +252,7 @@ def reof_minimize(
             fun,
             x0,
             method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-12, "gtol": 1e-7},
+            options={"maxiter": 400, "ftol": 1e-12, "gtol": 1e-7},
         )
         val = float(res.fun)
         if val < best_val:
@@ -268,13 +263,8 @@ def reof_minimize(
         raise OptimizerNonConvergence(
             "ensemble optimization produced no finite value", best_value=best_val
         )
-    tilde, weights = _ensemble_from_isometry(scaled, best_t)
-    keep_w = weights > 1e-12
-    states = tuple(
-        tilde[:, i] / np.sqrt(weights[i]) for i in range(m) if keep_w[i]
-    )
-    ensemble = PureStateEnsemble(weights[keep_w], states)
-    return best_val, ensemble
+    weights, states = _ensemble_from_isometry(scaled, best_t, 1e-12)
+    return best_val, PureStateEnsemble(weights, tuple(states.T))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,13 @@ HERMITICITY_TOL = 1e-9
 SUPPORT_CUTOFF = 1e-10
 
 
+def support_threshold(values: np.ndarray):
+    """The support rule: values at or below ``SUPPORT_CUTOFF * max(1, v_max)``
+    count as 0, with ``v_max`` the largest value along the last axis, so a
+    stack of spectra gets one threshold per row."""
+    return SUPPORT_CUTOFF * values.max(axis=-1, initial=1.0)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
@@ -48,9 +55,8 @@ class Spectrum:
         return (v * vals) @ v.conj().T
 
     def support_threshold(self) -> float:
-        """Eigenvalues at or below ``SUPPORT_CUTOFF * max(1, lam_max)`` are 0."""
-        lam_max = float(np.max(self.eigenvalues)) if self.eigenvalues.size else 0.0
-        return SUPPORT_CUTOFF * max(1.0, lam_max)
+        """:func:`support_threshold` of the eigenvalues."""
+        return float(support_threshold(self.eigenvalues))
 
     def support_mask(self) -> np.ndarray:
         """Keep mask of the eigenpairs spanning the numerical support."""

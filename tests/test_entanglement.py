@@ -23,7 +23,7 @@ from qrenyi.entanglement import (
     saturating_state,
 )
 from qrenyi.errors import DimensionTooSmall
-from qrenyi.linalg import fidelity, max_abs, tensor
+from qrenyi.linalg import fidelity, max_abs, partial_trace, tensor
 from qrenyi.states import (
     BipartiteState,
     maximally_mixed,
@@ -218,8 +218,41 @@ class TestReofMinimize:
         for t in range(4):
             rng = substream(608, t)
             st = BipartiteState(random_density(4, 2, rng), 2, 2)
-            value, _ = reof_minimize(st, 2.0, restarts=1, seed=t, maxiter=120)
+            value, _ = reof_minimize(st, 2.0, restarts=1, seed=t)
             assert value >= reof_lower_bound(st, 2.0) - 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0, 3.0])
+    def test_value_is_the_returned_ensembles_entropy(self, alpha):
+        # the Schmidt-spectrum objective against the projector route
+        dim_a = 2
+        shapes = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+        for t, (dim_b, rank) in enumerate(shapes):
+            rng = substream(615, t)
+            st = BipartiteState(random_density(dim_a * dim_b, rank, rng), dim_a, dim_b)
+            value, ensemble = reof_minimize(st, alpha, restarts=0)
+            recomputed = sum(
+                w * renyi_entropy(partial_trace(projector(psi), dim_a, dim_b, "A"), alpha)
+                for w, psi in zip(ensemble.weights, ensemble.states)
+            )
+            assert abs(value - recomputed) < 1e-10
+            explicit = sum(
+                w * projector(psi) for w, psi in zip(ensemble.weights, ensemble.states)
+            )
+            assert max_abs(ensemble.reconstruct() - explicit) < 1e-12
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        # the state's own decomposition; the objective and the polar factor
+        # run on singular values alone
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        reof_minimize(BipartiteState(random_density(4, 2, 616), 2, 2), 2.0, restarts=1)
+        assert len(calls) == 1
 
     def test_ensemble_size_must_cover_rank(self):
         with pytest.raises(ValueError):

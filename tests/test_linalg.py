@@ -281,7 +281,7 @@ class TestTensorAndPartialTrace:
 
 
 class TestTraceNormAndFidelity:
-    def test_hermitian_route(self):
+    def test_indefinite_diagonal(self):
         assert abs(trace_norm(np.diag([1.0, -2.0]).astype(complex)) - 3.0) < 1e-14
 
     def test_density_matrix_is_one(self, rng):
@@ -292,11 +292,14 @@ class TestTraceNormAndFidelity:
         assert abs(trace_norm(PAULI_X) - 2.0) < 1e-14
 
     def test_singular_value_oracle(self):
+        # the Hermitian embedding [[0, G], [G^dag, 0]] has eigenvalues +-s_i
         for t in range(40):
             rng = substream(107, t)
             d = int(rng.integers(2, 7))
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            ref = float(np.sum(np.linalg.svd(g, compute_uv=False)))
+            zero = np.zeros_like(g)
+            embedding = np.block([[zero, g], [g.conj().T, zero]])
+            ref = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(embedding))))
             assert abs(trace_norm(g) - ref) < 1e-10 * max(1.0, ref)
 
     def test_trace_norm_rejects_bad_input(self):
