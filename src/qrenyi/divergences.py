@@ -24,7 +24,6 @@ from .linalg import (
     as_complex_matrix,
     hermitian_eig,
     hermitian_part,
-    matrix_power_on_support,
     max_abs,
     # unused here, but kept bound: bench/tracer.py wraps ``divergences.minimize``
     # to count nfev, which now reads 0 for this module
@@ -109,13 +108,24 @@ def _classified_spectra(rho, sigma):
     return spec_rho, spec_sig, case
 
 
-def _sandwich_eigenvalues(
-    rho: np.ndarray, sigma_spec: Spectrum, order: RenyiOrder
-) -> np.ndarray:
-    """Supported eigenvalues of ``sigma^g rho sigma^g``."""
-    s_g = sigma_spec.on_support(lambda lam: lam**order.gamma)
-    x = hermitian_part(s_g @ rho @ s_g)
-    return hermitian_eig(x).supported()[0]
+def _sandwich(sigma_spec: Spectrum, p: float, m: np.ndarray):
+    """``(s, spectrum of s m s)`` with ``s = sigma^p`` on supp(sigma), from
+    sigma's spectrum.  The one place the sandwiched operator is formed;
+    its spectrum is checked positive."""
+    s = sigma_spec.on_support(lambda lam: lam**p)
+    return s, positive_spectrum(hermitian_part(s @ m @ s))
+
+
+def _undefined(alpha: float, case: str):
+    """The error of a support case that leaves the trace functional undefined,
+    or None: alpha > 1 needs supp(rho) in supp(sigma), alpha < 1 overlap."""
+    if alpha > 1.0 and case != CONTAINED:
+        return SupportViolation(
+            "trace functional undefined: supp(rho) not contained in supp(sigma)"
+        )
+    if alpha < 1.0 and case == DISJOINT:
+        return DisjointSupports("trace functional undefined: orthogonal supports")
+    return None
 
 
 def _factored_power(lam: np.ndarray, alpha: float):
@@ -158,13 +168,9 @@ def q_tilde(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """
     order = RenyiOrder(alpha)
     _, spec_sig, case = _classified_spectra(rho, sigma)
-    if alpha > 1.0 and case != CONTAINED:
-        raise SupportViolation(
-            "trace functional undefined: supp(rho) not contained in supp(sigma)"
-        )
-    if alpha < 1.0 and case == DISJOINT:
-        raise DisjointSupports("trace functional undefined: orthogonal supports")
-    return _trace_power(_sandwich_eigenvalues(rho, spec_sig, order), alpha)
+    if (err := _undefined(alpha, case)) is not None:
+        raise err
+    return _trace_power(_sandwich(spec_sig, order.gamma, rho)[1].supported()[0], alpha)
 
 
 def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
@@ -180,9 +186,9 @@ def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
         return qre(rho, sigma)
     order = RenyiOrder(alpha)
     _, spec_sig, case = _classified_spectra(rho, sigma)
-    if not _finite_case(alpha, case):
+    if _undefined(alpha, case) is not None:
         return DivergenceValue(math.inf, case)
-    lam = _sandwich_eigenvalues(rho, spec_sig, order)
+    lam = _sandwich(spec_sig, order.gamma, rho)[1].supported()[0]
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
     value = (_log2_trace_power(lam, alpha) - math.log2(tr_rho)) / (alpha - 1.0)
     return DivergenceValue(value, case)
@@ -194,7 +200,7 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
         return qre(rho, sigma)
     RenyiOrder(alpha)
     spec_rho, spec_sig, case = _classified_spectra(rho, sigma)
-    if not _finite_case(alpha, case):
+    if _undefined(alpha, case) is not None:
         return DivergenceValue(math.inf, case)
     ra = spec_rho.on_support(lambda lam: lam**alpha)
     sb = spec_sig.on_support(lambda lam: lam ** (1.0 - alpha))
@@ -202,12 +208,6 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
     value = math.log2(q / tr_rho) / (alpha - 1.0)
     return DivergenceValue(value, case)
-
-
-def _finite_case(alpha: float, case: str) -> bool:
-    if case == CONTAINED:
-        return True
-    return alpha < 1.0 and case == OVERLAPPING
 
 
 def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
@@ -229,9 +229,7 @@ def d_max(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     _, spec_sig, case = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
-    isq = spec_sig.on_support(lambda lam: lam**-0.5)
-    m = hermitian_part(isq @ rho @ isq)
-    lam_max = float(np.max(hermitian_eig(m).eigenvalues))
+    lam_max = float(np.max(_sandwich(spec_sig, -0.5, rho)[1].eigenvalues))
     return DivergenceValue(math.log2(lam_max), case)
 
 
@@ -261,27 +259,28 @@ def f_alpha(h: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float) -> 
     alpha > 1 and ``+inf`` for alpha < 1.
     """
     order = RenyiOrder(alpha)
-    s_ig = matrix_power_on_support(sigma, -order.gamma)
-    y = hermitian_part(s_ig @ as_complex_matrix(h) @ s_ig)
-    lam, _ = hermitian_eig(y).supported()
+    _, y = _sandwich(positive_spectrum(sigma), -order.gamma, as_complex_matrix(h))
+    lam, _ = y.supported()
     term = _trace_power(lam, alpha / (alpha - 1.0))
     lead = float(np.trace(as_complex_matrix(rho) @ as_complex_matrix(h)).real)
     return alpha * lead - (alpha - 1.0) * term
 
 
 def h_hat(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> np.ndarray:
-    """Critical observable ``sigma^g (sigma^g rho sigma^g)^(a-1) sigma^g``."""
-    return _critical_observable(rho, positive_spectrum(sigma), alpha)
+    """Critical observable ``sigma^g (sigma^g rho sigma^g)^(a-1) sigma^g``;
+    raises on the support cases where :func:`q_tilde` does."""
+    _, spec_sig, case = _classified_spectra(rho, sigma)
+    if (err := _undefined(alpha, case)) is not None:
+        raise err
+    return _critical_observable(rho, spec_sig, alpha)
 
 
 def _critical_observable(
     rho: np.ndarray, sigma_spec: Spectrum, alpha: float
 ) -> np.ndarray:
-    """:func:`h_hat` on an already decomposed sigma."""
-    gamma = RenyiOrder(alpha).gamma
-    s_g = sigma_spec.on_support(lambda lam: lam**gamma)
-    x = hermitian_part(s_g @ rho @ s_g)
-    core = matrix_power_on_support(x, alpha - 1.0)
+    """:func:`h_hat` on an already decomposed sigma, support case unchecked."""
+    s_g, x = _sandwich(sigma_spec, RenyiOrder(alpha).gamma, rho)
+    core = x.on_support(lambda lam: lam ** (alpha - 1.0))
     return hermitian_part(s_g @ core @ s_g)
 
 

@@ -6,20 +6,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channels import QuantumChannel, apply, apply_adjoint, stinespring
 from .divergences import (
-    CONTAINED,
-    DISJOINT,
     DivergenceValue,
     _classified_spectra,
     _critical_observable,
-    h_hat,
+    _sandwich,
+    _undefined,
     srd,
 )
-from .errors import DimensionMismatch, DisjointSupports, SupportViolation
+from .errors import DimensionMismatch
 from .linalg import (
     as_complex_matrix,
     hermitian_eig,
@@ -96,21 +96,18 @@ def dpi_check(
     return DpiReport(lhs, rhs, gap, alpha)
 
 
-def _check_equality_preconditions(rho, sigma, alpha):
-    """Reject support cases with no equality condition; return sigma's spectrum."""
+def _certified(forward, adjoint, rho, sigma, alpha, eq_tol) -> EqualityCertificate:
+    """Equality certificate of one route: the critical observable of
+    (rho, sigma) against that of (forward(rho), forward(sigma)) pulled back
+    by ``adjoint``.  The outputs need no support check: a channel keeps
+    supp(rho) inside supp(sigma), and since fidelity does not decrease
+    under a channel, overlapping supports stay overlapping."""
     _, spec_sig, case = _classified_spectra(rho, sigma)
-    if alpha > 1.0 and case != CONTAINED:
-        raise SupportViolation(
-            "equality condition needs supp(rho) inside supp(sigma) for alpha > 1"
-        )
-    if alpha < 1.0 and case == DISJOINT:
-        raise DisjointSupports("equality condition undefined on orthogonal supports")
-    return spec_sig
-
-
-def _certificate(
-    lhs_op: np.ndarray, rhs_op: np.ndarray, eq_tol: float
-) -> EqualityCertificate:
+    if (err := _undefined(alpha, case)) is not None:
+        raise err
+    lhs_op = _critical_observable(rho, spec_sig, alpha)
+    out_spec = positive_spectrum(forward(sigma))
+    rhs_op = adjoint(_critical_observable(forward(rho), out_spec, alpha))
     residual = max_abs(lhs_op - rhs_op)
     scale = max(1.0, max_abs(lhs_op))
     verdict = VERDICT_EQUAL if residual <= eq_tol * scale else VERDICT_NOT_EQUAL
@@ -126,11 +123,8 @@ def equality_residual(
 ) -> EqualityCertificate:
     """Algebraic equality test: compares the critical observable of
     (rho, sigma) with the adjoint-pulled-back observable of the outputs."""
-    spec_sig = _check_equality_preconditions(rho, sigma, alpha)
-    lhs_op = _critical_observable(rho, spec_sig, alpha)
-    out_h = h_hat(apply(channel, rho), apply(channel, sigma), alpha)
-    rhs_op = apply_adjoint(channel, out_h)
-    return _certificate(lhs_op, rhs_op, eq_tol)
+    fwd, adj = partial(apply, channel), partial(apply_adjoint, channel)
+    return _certified(fwd, adj, rho, sigma, alpha, eq_tol)
 
 
 def equality_residual_stinespring(
@@ -146,12 +140,8 @@ def equality_residual_stinespring(
     tracing, and the adjoint from the isometry; kept as a cross-check for
     the Kraus route.
     """
-    spec_sig = _check_equality_preconditions(rho, sigma, alpha)
     dil = stinespring(channel)
-    lhs_op = _critical_observable(rho, spec_sig, alpha)
-    out_h = h_hat(dil.apply(rho), dil.apply(sigma), alpha)
-    rhs_op = dil.apply_adjoint(out_h)
-    return _certificate(lhs_op, rhs_op, eq_tol)
+    return _certified(dil.apply, dil.apply_adjoint, rho, sigma, alpha, eq_tol)
 
 
 def equality_residual_partial_trace(
@@ -164,15 +154,12 @@ def equality_residual_partial_trace(
 ) -> EqualityCertificate:
     """Equality certificate specialized to tracing out the B factor.
 
-    Compares the A-marginal critical observable, tensored with 1_B,
-    against the joint critical observable.
+    Compares the joint critical observable against the A-marginal one
+    tensored with 1_B.
     """
-    spec_sig = _check_equality_preconditions(rho_ab, sigma_ab, alpha)
-    rho_a = partial_trace(rho_ab, dim_a, dim_b, keep="A")
-    sigma_a = partial_trace(sigma_ab, dim_a, dim_b, keep="A")
-    lhs_op = tensor(h_hat(rho_a, sigma_a, alpha), np.eye(dim_b, dtype=np.complex128))
-    rhs_op = _critical_observable(rho_ab, spec_sig, alpha)
-    return _certificate(lhs_op, rhs_op, eq_tol)
+    fwd = partial(partial_trace, dim_a=dim_a, dim_b=dim_b, keep="A")
+    eye_b = np.eye(dim_b, dtype=np.complex128)
+    return _certified(fwd, lambda h: tensor(h, eye_b), rho_ab, sigma_ab, alpha, eq_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +325,7 @@ def fidelity_attaining_povm(rho: np.ndarray, sigma: np.ndarray):
     # -1 on ker(sigma) keeps kernel vectors out of the eigenspaces on the support
     spec = positive_spectrum(sig_m)
     shift = spec.reconstruct(np.where(spec.support_mask(), 0.0, -1.0))
-    vecs = hermitian_eig(fuchs_caves_observable(rho_m, sig_m) + shift).eigenvectors
+    vecs = hermitian_eig(_fuchs_caves(rho_m, spec) + shift).eigenvectors
     povm = [projector(v) for v in vecs.T]
     p = [np.trace(m @ rho_m).real for m in povm]
     q = [np.trace(m @ sig_m).real for m in povm]
@@ -352,11 +339,14 @@ def fuchs_caves_observable(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     its eigenbasis reproduces F(rho, sigma) classically, which is how
     :func:`fidelity_attaining_povm` builds its measurement.
     """
-    spec = positive_spectrum(sigma)
-    isq = spec.on_support(lambda lam: lam**-0.5)
-    sq = spec.on_support(lambda lam: lam**0.5)
-    mid = matrix_power_on_support(hermitian_part(sq @ rho @ sq), 0.5)
-    return hermitian_part(isq @ mid @ isq)
+    return _fuchs_caves(rho, positive_spectrum(sigma))
+
+
+def _fuchs_caves(rho: np.ndarray, sigma_spec) -> np.ndarray:
+    """:func:`fuchs_caves_observable` on an already decomposed sigma."""
+    _, x = _sandwich(sigma_spec, 0.5, rho)
+    isq = sigma_spec.on_support(lambda lam: lam**-0.5)
+    return hermitian_part(isq @ x.on_support(lambda lam: lam**0.5) @ isq)
 
 
 __all__ = [

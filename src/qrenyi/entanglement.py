@@ -14,7 +14,6 @@ from .divergences import (
     _spectrum_entropy,
     conditional_entropy,
     conditional_renyi,
-    renyi_entropy,
 )
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
 from .linalg import (
@@ -25,9 +24,11 @@ from .linalg import (
     hermitian_part,
     max_abs,
     minimize,
+    positive_spectrum,
+    support_of,
     support_threshold,
 )
-from .states import BipartiteState, rank_profile, substream
+from .states import BipartiteState, substream
 
 #: Cross-term threshold of :func:`check_saturation_conditions`.
 _SATURATION_CROSS_TOL = 1e-8
@@ -105,10 +106,10 @@ def araki_lieb_renyi(state: BipartiteState, alpha: float) -> ArakiLiebReport:
     if alpha < 0.5:
         raise ValueError("alpha must be >= 1/2")
     beta = 1.0 if alpha == 1.0 else RenyiOrder(alpha).dual_beta
-    rho_a = state.marginal_a()
+    lam_a = hermitian_eig(state.marginal_a()).supported()[0]
     value, _ = conditional_renyi(state, alpha)
-    upper = renyi_entropy(rho_a, alpha)
-    lower = -renyi_entropy(rho_a, beta)
+    upper = _spectrum_entropy(lam_a, alpha)
+    lower = -_spectrum_entropy(lam_a, beta)
     return ArakiLiebReport(lower, value, upper, value - lower, alpha, beta)
 
 
@@ -147,12 +148,14 @@ def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
     holds for one such basis exactly when it holds for all of them, and
     the eigenbasis decides it.
     """
-    profile = rank_profile(state)
-    rank_ok = profile.r_b == profile.r_a * profile.r_ab
-    _, vecs = hermitian_eig(state.mat).supported()
+    spec = positive_spectrum(state.mat)
+    rho_a = state.marginal_a()
+    r_ab = int(np.sum(spec.support_mask()))
+    rank_ok = support_of(state.marginal_b()).rank == support_of(rho_a).rank * r_ab
+    _, vecs = spec.supported()
     t = vecs.reshape(state.dim_a, state.dim_b, -1)
     cross = np.einsum("abi,cbj->ijac", t, t.conj())
-    cross -= np.einsum("ij,ac->ijac", np.eye(t.shape[2]), state.marginal_a())
+    cross -= np.einsum("ij,ac->ijac", np.eye(t.shape[2]), rho_a)
     residual = max_abs(cross)
     cross_ok = residual <= _SATURATION_CROSS_TOL
     return SaturationCheck(rank_ok and cross_ok, rank_ok, cross_ok, residual)

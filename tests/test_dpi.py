@@ -14,7 +14,15 @@ from qrenyi.channels import (
     random_channel,
     unitary_channel,
 )
-from qrenyi.divergences import classify_supports, d_max, qre, rre, srd
+from qrenyi.divergences import (
+    classify_supports,
+    d_max,
+    h_hat,
+    q_tilde,
+    qre,
+    rre,
+    srd,
+)
 from qrenyi.dpi import (
     dpi_check,
     dpi_violation_search,
@@ -26,9 +34,10 @@ from qrenyi.dpi import (
     petz_recovery,
     sufficiency_test,
 )
-from qrenyi.errors import NegativeEigenvalue
+from qrenyi.entanglement import check_saturation_conditions
+from qrenyi.errors import DisjointSupports, NegativeEigenvalue, SupportViolation
 from qrenyi.linalg import fidelity, hermitian_eig, max_abs, tensor
-from qrenyi.states import random_density, random_unitary, substream
+from qrenyi.states import BipartiteState, random_density, random_unitary, substream
 from qrenyi.suites import _constructed_equality_instance, _random_triple
 
 ALPHAS = (0.5, 0.75, 1.5, 2.0, 3.0)
@@ -365,8 +374,28 @@ class TestSpectralReuse:
             (lambda r, s, ch: rre(r, s, 2.0), 2),
             (lambda r, s, ch: d_max(r, s), 3),
             (lambda r, s, ch: fuchs_caves_observable(r, s), 2),
+            (lambda r, s, ch: equality_residual_stinespring(r, s, ch, 2.0), 5),
+            (lambda r, s, ch: equality_residual_partial_trace(r, s, 2, 2, 2.0), 5),
+            (lambda r, s, ch: q_tilde(r, s, 2.0), 3),
+            (lambda r, s, ch: h_hat(r, s, 2.0), 3),
+            (lambda r, s, ch: fidelity_attaining_povm(r, s), 3),
+            (lambda r, s, ch: check_saturation_conditions(BipartiteState(r, 2, 2)), 3),
         ],
-        ids=["srd", "dpi_check", "equality_residual", "qre", "rre", "d_max", "fuchs"],
+        ids=[
+            "srd",
+            "dpi_check",
+            "equality_residual",
+            "qre",
+            "rre",
+            "d_max",
+            "fuchs",
+            "equality_residual_stinespring",
+            "equality_residual_partial_trace",
+            "q_tilde",
+            "h_hat",
+            "fidelity_attaining_povm",
+            "check_saturation_conditions",
+        ],
     )
     def test_eigendecompositions_per_call(self, monkeypatch, op, expected):
         rho = random_density(4, 4, 611)
@@ -398,6 +427,52 @@ class TestSpectralReuse:
         good = random_density(2, 2, 613)
         with pytest.raises(NegativeEigenvalue):
             op(bad, good) if bad_is_rho else op(good, bad)
+
+
+class TestSupportCases:
+    """One rule decides where the trace functional is undefined: ``srd`` and
+    ``rre`` read inf exactly where ``q_tilde``, ``h_hat`` and the three
+    certificate routes raise, and those raise the same class."""
+
+    # sigma against rho = diag(1/2, 1/2, 0, 0) on 2 (x) 2
+    SIGMAS = {
+        "contained": [0.25, 0.25, 0.25, 0.25],
+        "overlapping": [0.5, 0.0, 0.5, 0.0],
+        "disjoint": [0.0, 0.0, 0.5, 0.5],
+    }
+    EXPECTED = {
+        ("contained", 0.75): None,
+        ("overlapping", 0.75): None,
+        ("disjoint", 0.75): DisjointSupports,
+        ("contained", 2.0): None,
+        ("overlapping", 2.0): SupportViolation,
+        ("disjoint", 2.0): SupportViolation,
+    }
+
+    @pytest.mark.parametrize("alpha", [0.75, 2.0])
+    @pytest.mark.parametrize("case", ["contained", "overlapping", "disjoint"])
+    def test_inf_exactly_where_the_functional_raises(self, case, alpha):
+        u = random_unitary(4, substream(531))
+        rho = u @ np.diag([0.5, 0.5, 0.0, 0.0]) @ u.conj().T
+        sig = u @ np.diag(self.SIGMAS[case]) @ u.conj().T
+        chan = partial_trace_channel(2, 2)
+        expected = self.EXPECTED[case, alpha]
+        assert classify_supports(rho, sig) == case
+        for div in (srd, rre):
+            assert (div(rho, sig, alpha).value == math.inf) == (expected is not None)
+        raising = [
+            lambda: q_tilde(rho, sig, alpha),
+            lambda: h_hat(rho, sig, alpha),
+            lambda: equality_residual(rho, sig, chan, alpha),
+            lambda: equality_residual_stinespring(rho, sig, chan, alpha),
+            lambda: equality_residual_partial_trace(rho, sig, 2, 2, alpha),
+        ]
+        for fn in raising:
+            if expected is None:
+                fn()
+            else:
+                with pytest.raises(expected):
+                    fn()
 
 
 # alpha in [1/2, 5]; near alpha = 1 the 1/(alpha - 1) factor amplifies roundoff
@@ -434,3 +509,33 @@ class TestDpiProperties:
         rho, sigma, lam = _random_triple(np.random.default_rng(seed), dmax)
         assume(dpi_check(rho, sigma, lam, alpha).gap > 1e-3)
         assert equality_residual(rho, sigma, lam, alpha).verdict == "not-equal"
+
+    @property_settings
+    @given(
+        st.sampled_from(["random", "unitary", "product-trace", "trace-2x2"]),
+        st.integers(0, 2**32 - 1),
+        orders,
+    )
+    def test_certificate_routes_agree(self, kind, seed, alpha):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            rho, sigma, lam = _random_triple(rng, 4)
+        elif kind == "trace-2x2":
+            rho = random_density(4, int(rng.integers(1, 5)), rng)
+            sigma = random_density(4, 4, rng)
+            lam = partial_trace_channel(2, 2)
+        else:
+            rho, sigma, lam = _constructed_equality_instance(rng, kind)
+        certs = [
+            equality_residual(rho, sigma, lam, alpha),
+            equality_residual_stinespring(rho, sigma, lam, alpha),
+        ]
+        if kind in ("product-trace", "trace-2x2"):
+            dim_a = lam.dim_out
+            dim_b = lam.dim_in // dim_a
+            certs.append(
+                equality_residual_partial_trace(rho, sigma, dim_a, dim_b, alpha)
+            )
+        for cert in certs[1:]:
+            assert abs(cert.residual - certs[0].residual) <= 1e-9
+            assert cert.verdict == certs[0].verdict
