@@ -132,35 +132,13 @@ class StinespringDilation:
         return self.isometry.conj().T @ lifted @ self.isometry
 
 
-def _orthonormal_completion(cols: np.ndarray, n: int) -> np.ndarray:
-    """Extend orthonormal columns to a full basis of C^n.
-
-    Candidates are the standard basis vectors taken in order, made
-    orthogonal by twice-iterated Gram-Schmidt; the result is deterministic.
-    """
-    basis = [cols[:, i].copy() for i in range(cols.shape[1])]
-    for cand in range(n):
-        if len(basis) == n:
-            break
-        w = np.zeros(n, dtype=np.complex128)
-        w[cand] = 1.0
-        for _ in range(2):
-            for b in basis:
-                w -= np.vdot(b, w) * b
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            basis.append(w / nrm)
-    if len(basis) != n:
-        raise RuntimeError("orthonormal completion failed")
-    return np.column_stack(basis)
-
-
 def stinespring(channel: QuantumChannel) -> StinespringDilation:
     """Dilate a channel to a unitary with a pure ancilla.
 
     The isometry stacks the Kraus operators, ``V psi = sum_k |e_k> (x)
     K_k psi``, with the Kraus index embedded into H (x) H'; the unitary
-    extends V from the ancilla slice by deterministic Gram-Schmidt.
+    extends V from the ancilla slice by an orthonormal basis of the
+    complement of its range, taken from one complete QR factorization of V.
     """
     d_h, d_k = channel.dim_in, channel.dim_out
     m = len(channel.kraus)
@@ -179,10 +157,10 @@ def stinespring(channel: QuantumChannel) -> StinespringDilation:
     u = np.zeros((n, n), dtype=np.complex128)
     # columns carrying |i>_H (x) |ancilla> map to V|i>
     special = [i * (d_hp * d_k) for i in range(d_h)]
-    full = _orthonormal_completion(v, n)
-    u[:, special] = full[:, :d_h]
+    u[:, special] = v
     rest = [j for j in range(n) if j not in special]
-    u[:, rest] = full[:, d_h:]
+    # the last n - d_h columns of Q span the orthogonal complement of range(V)
+    u[:, rest] = np.linalg.qr(v, mode="complete")[0][:, d_h:]
     return StinespringDilation(ancilla, u, v, d_h, d_hp, d_k)
 
 

@@ -43,6 +43,7 @@ _FP_TOL = 1e-12
 CONTAINED = "contained"
 OVERLAPPING = "overlapping"
 DISJOINT = "disjoint"
+_CASES = np.array([CONTAINED, OVERLAPPING, DISJOINT])
 
 
 @dataclass(frozen=True)
@@ -91,69 +92,92 @@ def classify_supports(rho: np.ndarray, sigma: np.ndarray) -> str:
 
 def _classified_spectra(rho, sigma):
     """``(spectrum of rho, spectrum of sigma, support case)``, both spectra
-    checked positive, so callers need not decompose rho or sigma again."""
+    checked positive, so callers need not decompose rho or sigma again.
+    On stacks ``(..., d, d)`` of pairs the case is an array of cases."""
     spec_rho = positive_spectrum(rho)
     spec_sig = positive_spectrum(sigma)
-    _, v_rho = spec_rho.supported()
-    _, v_sig = spec_sig.supported()
+    keep_rho, keep_sig = spec_rho.support_mask(), spec_sig.support_mask()
     # tr(P_rho P_sigma) and tr(P_rho) - tr(P_rho P_sigma) from the support bases
-    overlap = float(np.sum(np.abs(v_rho.conj().T @ v_sig) ** 2))
-    leak = v_rho.shape[1] - overlap
-    if leak <= SUPPORT_CLASSIFY_TOL:
-        case = CONTAINED
-    elif overlap <= SUPPORT_CLASSIFY_TOL:
-        case = DISJOINT
-    else:
-        case = OVERLAPPING
-    return spec_rho, spec_sig, case
+    cross = np.abs(spec_rho.eigenvectors.conj().mT @ spec_sig.eigenvectors) ** 2
+    supports = keep_rho[..., :, None] & keep_sig[..., None, :]
+    overlap = np.add.reduce(cross, axis=(-2, -1), where=supports)
+    leak = keep_rho.sum(axis=-1) - overlap
+    code = (leak > SUPPORT_CLASSIFY_TOL) * (1 + (overlap <= SUPPORT_CLASSIFY_TOL))
+    case = _CASES[code]
+    return spec_rho, spec_sig, case if case.ndim else str(case)
 
 
 def _sandwich(sigma_spec: Spectrum, p: float, m: np.ndarray):
     """``(s, spectrum of s m s)`` with ``s = sigma^p`` on supp(sigma), from
     sigma's spectrum.  The one place the sandwiched operator is formed;
-    its spectrum is checked positive."""
+    its spectrum is checked positive.  Works per pair on stacks."""
     s = sigma_spec.on_support(lambda lam: lam**p)
     return s, positive_spectrum(hermitian_part(s @ m @ s))
 
 
-def _undefined(alpha: float, case: str):
-    """The error of a support case that leaves the trace functional undefined,
-    or None: alpha > 1 needs supp(rho) in supp(sigma), alpha < 1 overlap."""
-    if alpha > 1.0 and case != CONTAINED:
-        return SupportViolation(
+def _undefined(alpha: float, case):
+    """Whether the support case leaves the trace functional undefined:
+    alpha > 1 needs supp(rho) in supp(sigma), alpha < 1 overlap.
+    Elementwise on an array of cases."""
+    if alpha > 1.0:
+        return np.not_equal(case, CONTAINED)
+    return np.equal(case, DISJOINT) & (alpha < 1.0)
+
+
+def _require_defined(alpha: float, case: str) -> None:
+    """Raise the error of a support case that leaves the trace functional
+    undefined."""
+    if _undefined(alpha, case) and alpha > 1.0:
+        raise SupportViolation(
             "trace functional undefined: supp(rho) not contained in supp(sigma)"
         )
-    if alpha < 1.0 and case == DISJOINT:
-        return DisjointSupports("trace functional undefined: orthogonal supports")
-    return None
+    if _undefined(alpha, case):
+        raise DisjointSupports("trace functional undefined: orthogonal supports")
 
 
-def _factored_power(lam: np.ndarray, alpha: float):
+_LOG2 = np.frompyfunc(math.log2, 1, 1)
+
+
+def _log2(x) -> np.ndarray:
+    """``math.log2`` elementwise.  numpy's vectorized log2 differs from the
+    C library's in the last bit on some inputs; this keeps the stacked
+    evaluation bit-identical to one pair at a time."""
+    return np.asarray(_LOG2(x), dtype=float)
+
+
+def _factored_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
     """``(top, rest)`` with ``sum(lam**alpha) = top**alpha * rest`` over
-    positive ``lam`` (ascending, non-empty).  ``top`` is the dominant
-    eigenvalue (the largest for alpha > 0, the smallest for alpha < 0), so
-    ``1 <= rest <= lam.size``: ``lam**alpha`` itself overflows or underflows
-    at large ``|alpha|``."""
-    top = float(lam[-1] if alpha > 0 else lam[0])
-    return top, float(np.sum((lam / top) ** alpha))
+    the kept ``lam`` along the last axis (ascending, positive where kept,
+    at least one kept per row).  ``top`` is the dominant kept eigenvalue
+    (the largest for alpha > 0, the smallest for alpha < 0), so
+    ``1 <= rest <= lam.shape[-1]``: ``lam**alpha`` itself overflows or
+    underflows at large ``|alpha|``."""
+    if alpha > 0:
+        top = lam[..., -1]
+    else:
+        top = np.minimum.reduce(lam, axis=-1, where=keep, initial=math.inf)
+    ratio = np.power(lam / top[..., None], alpha, out=np.zeros_like(lam), where=keep)
+    return top, np.add.reduce(ratio, axis=-1, where=keep)
 
 
-def _log2_trace_power(lam: np.ndarray, alpha: float) -> float:
-    """``log2 sum(lam**alpha)``, finite at any order."""
-    if lam.size == 0:
+def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
+    """``log2 sum(lam**alpha)`` over the kept ``lam`` along the last axis,
+    finite at any order."""
+    if not keep.any(axis=-1).all():
         raise ValueError(f"trace functional underflows to 0 at alpha = {alpha}")
-    top, rest = _factored_power(lam, alpha)
-    return alpha * math.log2(top) + math.log2(rest)
+    top, rest = _factored_power(lam, alpha, keep)
+    return alpha * _log2(top) + _log2(rest)
 
 
-def _trace_power(lam: np.ndarray, alpha: float) -> float:
-    """``sum(lam**alpha)``: ``math.inf`` when it exceeds the float range, and
-    0 for an empty ``lam``."""
-    if lam.size == 0:
+def _trace_power(spec: Spectrum, alpha: float) -> float:
+    """``sum(lam**alpha)`` over the supported eigenvalues: ``math.inf`` when
+    it exceeds the float range, and 0 for an empty support."""
+    keep = spec.support_mask()
+    if not keep.any():
         return 0.0
-    top, rest = _factored_power(lam, alpha)
+    top, rest = _factored_power(spec.eigenvalues, alpha, keep)
     try:
-        return math.pow(top, alpha) * rest
+        return math.pow(top, alpha) * float(rest)
     except OverflowError:
         return math.inf
 
@@ -168,9 +192,8 @@ def q_tilde(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """
     order = RenyiOrder(alpha)
     _, spec_sig, case = _classified_spectra(rho, sigma)
-    if (err := _undefined(alpha, case)) is not None:
-        raise err
-    return _trace_power(_sandwich(spec_sig, order.gamma, rho)[1].supported()[0], alpha)
+    _require_defined(alpha, case)
+    return _trace_power(_sandwich(spec_sig, order.gamma, rho)[1], alpha)
 
 
 def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
@@ -184,14 +207,24 @@ def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     """
     if alpha == 1.0:
         return qre(rho, sigma)
+    value, case = _srd_values(as_complex_matrix(rho), as_complex_matrix(sigma), alpha)
+    return DivergenceValue(float(value), case)
+
+
+def _srd_values(rho: np.ndarray, sigma: np.ndarray, alpha: float):
+    """``(value, support case)`` of :func:`srd` at alpha != 1, per pair on
+    stacks ``(..., d, d)`` of pairs; ``inf`` where the case leaves the
+    functional undefined."""
     order = RenyiOrder(alpha)
     _, spec_sig, case = _classified_spectra(rho, sigma)
-    if _undefined(alpha, case) is not None:
-        return DivergenceValue(math.inf, case)
-    lam = _sandwich(spec_sig, order.gamma, rho)[1].supported()[0]
-    tr_rho = float(np.trace(as_complex_matrix(rho)).real)
-    value = (_log2_trace_power(lam, alpha) - math.log2(tr_rho)) / (alpha - 1.0)
-    return DivergenceValue(value, case)
+    undefined = _undefined(alpha, case)[..., None]
+    x = _sandwich(spec_sig, order.gamma, rho)[1]
+    # undefined pairs get a unit spectrum, so only defined ones can raise
+    lam = np.where(undefined, 1.0, x.eigenvalues)
+    log_q = _log2_trace_power(lam, alpha, x.support_mask() | undefined)
+    tr_rho = rho.trace(axis1=-2, axis2=-1).real
+    value = (log_q - _log2(tr_rho)) / (alpha - 1.0)
+    return np.where(undefined[..., 0], math.inf, value), case
 
 
 def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
@@ -200,7 +233,7 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
         return qre(rho, sigma)
     RenyiOrder(alpha)
     spec_rho, spec_sig, case = _classified_spectra(rho, sigma)
-    if _undefined(alpha, case) is not None:
+    if _undefined(alpha, case):
         return DivergenceValue(math.inf, case)
     ra = spec_rho.on_support(lambda lam: lam**alpha)
     sb = spec_sig.on_support(lambda lam: lam ** (1.0 - alpha))
@@ -260,8 +293,7 @@ def f_alpha(h: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float) -> 
     """
     order = RenyiOrder(alpha)
     _, y = _sandwich(positive_spectrum(sigma), -order.gamma, as_complex_matrix(h))
-    lam, _ = y.supported()
-    term = _trace_power(lam, alpha / (alpha - 1.0))
+    term = _trace_power(y, alpha / (alpha - 1.0))
     lead = float(np.trace(as_complex_matrix(rho) @ as_complex_matrix(h)).real)
     return alpha * lead - (alpha - 1.0) * term
 
@@ -270,8 +302,7 @@ def h_hat(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> np.ndarray:
     """Critical observable ``sigma^g (sigma^g rho sigma^g)^(a-1) sigma^g``;
     raises on the support cases where :func:`q_tilde` does."""
     _, spec_sig, case = _classified_spectra(rho, sigma)
-    if (err := _undefined(alpha, case)) is not None:
-        raise err
+    _require_defined(alpha, case)
     return _critical_observable(rho, spec_sig, alpha)
 
 
@@ -289,27 +320,30 @@ def _critical_observable(
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_entropy(lam: np.ndarray, alpha: float) -> float:
-    """Renyi entropy ``log2 sum(lam**a) / (1-a)`` of a supported spectrum
-    (positive, ascending), with the 0, 1 and inf orders as limits."""
+def _spectrum_entropy(lam: np.ndarray, alpha: float, keep: np.ndarray):
+    """Renyi entropy ``log2 sum(lam**a) / (1-a)`` of the kept ``lam`` along
+    the last axis (ascending, positive where kept), with the 0, 1 and inf
+    orders as limits; per row on stacks of spectra."""
     if alpha == 1.0:
-        return float(-np.sum(lam * np.log2(lam)))
+        logs = np.log2(lam, out=np.zeros_like(lam), where=keep)
+        return -np.add.reduce(lam * logs, axis=-1, where=keep)
     if alpha == math.inf:
-        return float(-np.log2(np.max(lam)))
+        return -np.log2(lam[..., -1])
     if alpha == 0.0:
-        return float(np.log2(lam.size))
-    return _log2_trace_power(lam, alpha) / (1.0 - alpha)
+        return np.log2(keep.sum(axis=-1))
+    return _log2_trace_power(lam, alpha, keep) / (1.0 - alpha)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    return _spectrum_entropy(hermitian_eig(rho).supported()[0], 1.0)
+    return renyi_entropy(rho, 1.0)
 
 
 def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders."""
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
-    return _spectrum_entropy(hermitian_eig(rho).supported()[0], alpha)
+    spec = hermitian_eig(rho)
+    return float(_spectrum_entropy(spec.eigenvalues, alpha, spec.support_mask()))
 
 
 def conditional_entropy(state: BipartiteState) -> float:

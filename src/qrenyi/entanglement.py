@@ -106,10 +106,11 @@ def araki_lieb_renyi(state: BipartiteState, alpha: float) -> ArakiLiebReport:
     if alpha < 0.5:
         raise ValueError("alpha must be >= 1/2")
     beta = 1.0 if alpha == 1.0 else RenyiOrder(alpha).dual_beta
-    lam_a = hermitian_eig(state.marginal_a()).supported()[0]
+    spec_a = hermitian_eig(state.marginal_a())
+    lam_a, keep = spec_a.eigenvalues, spec_a.support_mask()
     value, _ = conditional_renyi(state, alpha)
-    upper = _spectrum_entropy(lam_a, alpha)
-    lower = -_spectrum_entropy(lam_a, beta)
+    upper = float(_spectrum_entropy(lam_a, alpha, keep))
+    lower = -float(_spectrum_entropy(lam_a, beta, keep))
     return ArakiLiebReport(lower, value, upper, value - lower, alpha, beta)
 
 
@@ -227,9 +228,8 @@ def reof_minimize(
         # coefficients; svd returns them descending, the entropy wants ascending
         spectra = np.linalg.svd(members, compute_uv=False)[:, ::-1] ** 2
         keep = spectra > support_threshold(spectra)[:, None]
-        return sum(
-            w * _spectrum_entropy(s[k], alpha) for w, s, k in zip(weights, spectra, keep)
-        )
+        entropies = _spectrum_entropy(spectra, alpha, keep)
+        return sum(w * h for w, h in zip(weights, entropies))
 
     def unpack(x: np.ndarray) -> np.ndarray:
         half = m * r

@@ -38,11 +38,12 @@ def support_threshold(values: np.ndarray):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack.
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.  Supports, and functions
-    of the operator on its support, are all read from here.
+    ``eigenvalues`` are real and ascending along the last axis;
+    ``eigenvectors`` holds the matching orthonormal eigenvectors as columns.
+    Supports, and functions of the operator on its support, are all read
+    from here, per matrix on stacks (``supported`` needs one matrix).
     """
 
     eigenvalues: np.ndarray
@@ -52,15 +53,11 @@ class Spectrum:
         """``V diag(values) V^dag``; ``values`` defaults to the eigenvalues."""
         v = self.eigenvectors
         vals = self.eigenvalues if values is None else values
-        return (v * vals) @ v.conj().T
-
-    def support_threshold(self) -> float:
-        """:func:`support_threshold` of the eigenvalues."""
-        return float(support_threshold(self.eigenvalues))
+        return (v * vals[..., None, :]) @ v.conj().mT
 
     def support_mask(self) -> np.ndarray:
         """Keep mask of the eigenpairs spanning the numerical support."""
-        return self.eigenvalues > self.support_threshold()
+        return self.eigenvalues > support_threshold(self.eigenvalues)[..., None]
 
     def supported(self):
         """``(eigenvalues, eigenvectors)`` on the numerical support, ascending."""
@@ -68,7 +65,8 @@ class Spectrum:
         return self.eigenvalues[keep], self.eigenvectors[:, keep]
 
     def on_support(self, fn) -> np.ndarray:
-        """Hermitian matrix with ``fn`` of the supported eigenvalues, 0 elsewhere."""
+        """Hermitian matrix with ``fn`` of the supported eigenvalues, 0
+        elsewhere; ``fn`` acts elementwise."""
         keep = self.support_mask()
         vals = np.zeros_like(self.eigenvalues)
         vals[keep] = fn(self.eigenvalues[keep])
@@ -90,7 +88,7 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().mT)
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -104,26 +102,35 @@ def as_complex_matrix(a) -> np.ndarray:
 def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate hermiticity and return the symmetrized matrix.
 
-    Raises NonFiniteInput when an entry is NaN or infinite, and
-    NonHermitianInput when ``max|A - A^dag|`` exceeds ``HERMITICITY_TOL``
-    times the max-entry magnitude of A.
+    Works per matrix on a stack ``(..., d, d)``.  Raises NonFiniteInput
+    when an entry is NaN or infinite, and NonHermitianInput when
+    ``max|A - A^dag|`` exceeds ``HERMITICITY_TOL`` times the max-entry
+    magnitude of A.
     """
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
         raise NonHermitianInput(f"matrix is not square: shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # NaN and inf propagate to the max, and are caught before A - A^dag warns
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(scale).all():
         raise NonFiniteInput("matrix has a NaN or infinite entry")
-    scale = max_abs(m)
-    defect = max_abs(m - m.conj().T)
-    if defect > HERMITICITY_TOL * max(scale, 1e-300):
+    adj = m.conj().mT
+    defect = np.abs(m - adj).max(axis=(-2, -1), initial=0.0)
+    bad = defect > HERMITICITY_TOL * np.maximum(scale, 1e-300)
+    if bad.any():
+        i = bad.argmax()
         raise NonHermitianInput(
-            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e} x {scale:.3e}"
+            f"hermiticity defect {defect.flat[i]:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e} x {scale.flat[i]:.3e}"
         )
-    return hermitian_part(m)
+    return 0.5 * (m + adj)
 
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a complex Hermitian matrix by LAPACK ``eigh``.
+    """Eigendecomposition of a complex Hermitian matrix, or of each matrix
+    of a stack ``(..., d, d)``, by LAPACK ``eigh``.
 
     The input is checked (finite, Hermitian) and symmetrized first.
     Eigenvalues are returned ascending; each eigenvector is phased so its
@@ -133,24 +140,32 @@ def hermitian_eig(h: np.ndarray) -> Spectrum:
     evals, v = np.linalg.eigh(check_hermitian(h))
     # Deterministic phases: largest-magnitude entry of each column real > 0.
     if v.size:
-        anchors = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        v = v * (anchors.conjugate() / np.abs(anchors))
+        rows = np.argmax(np.abs(v), axis=-2)
+        # the columns of all matrices as rows of one 2-D array
+        cols = v.mT.reshape(-1, v.shape[-1])
+        anchors = cols[np.arange(rows.size), rows.ravel()].reshape(rows.shape)
+        v = v * (anchors.conjugate() / np.abs(anchors))[..., None, :]
     return Spectrum(evals, v)
 
 
 def positive_spectrum(a: np.ndarray) -> Spectrum:
-    """:func:`hermitian_eig` of a positive semidefinite operator.
+    """:func:`hermitian_eig` of a positive semidefinite operator, or of each
+    operator of a stack.
 
     Eigenvalues down to ``-SUPPORT_CUTOFF * max(1, |lambda|_max)`` count as
     roundoff of 0; anything below that floor raises NegativeEigenvalue.
     """
     spec = hermitian_eig(a)
-    if spec.eigenvalues.size:
-        low, high = spec.eigenvalues[0], spec.eigenvalues[-1]  # ascending
-        floor = -SUPPORT_CUTOFF * max(1.0, -low, high)
-        if low < floor:
+    ev = spec.eigenvalues
+    # every floor lies at or below -SUPPORT_CUTOFF
+    if ev.min(initial=0.0) < -SUPPORT_CUTOFF:
+        low = ev[..., 0]  # ascending
+        floor = -SUPPORT_CUTOFF * np.abs(ev).max(axis=-1, initial=1.0)
+        bad = low < floor
+        if bad.any():
+            i = bad.argmax()
             raise NegativeEigenvalue(
-                f"eigenvalue {low:.3e} below allowed floor {floor:.3e}"
+                f"eigenvalue {low.flat[i]:.3e} below allowed floor {floor.flat[i]:.3e}"
             )
     return spec
 
@@ -158,7 +173,7 @@ def positive_spectrum(a: np.ndarray) -> Spectrum:
 def support_of(a: np.ndarray) -> SupportInfo:
     """Support projector of a positive semidefinite operator.
 
-    Eigenvalues above :meth:`Spectrum.support_threshold` count towards the
+    Eigenvalues above :func:`support_threshold` count towards the
     rank; anything between the :func:`positive_spectrum` floor and the
     threshold is treated as zero, and eigenvalues below that floor raise
     NegativeEigenvalue.
@@ -166,7 +181,7 @@ def support_of(a: np.ndarray) -> SupportInfo:
     spec = positive_spectrum(a)
     projector = spec.on_support(np.ones_like)
     rank = int(np.sum(spec.support_mask()))
-    return SupportInfo(rank, projector, spec.support_threshold())
+    return SupportInfo(rank, projector, float(support_threshold(spec.eigenvalues)))
 
 
 def matrix_power_on_support(a: np.ndarray, p: float) -> np.ndarray:
@@ -187,22 +202,23 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def partial_trace(
     m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A"
 ) -> np.ndarray:
-    """Partial trace of an operator on A (x) B.
+    """Partial trace of an operator on A (x) B, or of each operator of a
+    stack ``(..., d, d)``.
 
     ``keep`` selects which factor survives ("A" traces out B and vice
     versa).  The input must be square of dimension ``dim_a * dim_b``.
     """
-    mat = as_complex_matrix(m)
+    mat = np.asarray(m, dtype=np.complex128)
     d = dim_a * dim_b
-    if mat.shape != (d, d):
+    if mat.shape[-2:] != (d, d):
         raise DimensionMismatch(
             f"operator is {mat.shape}, expected ({d}, {d}) = ({dim_a}x{dim_b})^2"
         )
-    t = mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    t = mat.reshape(mat.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("abcb->ac", t)
+        return np.einsum("...abcb->...ac", t)
     if keep == "B":
-        return np.einsum("abac->bc", t)
+        return np.einsum("...abac->...bc", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

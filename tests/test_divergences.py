@@ -573,3 +573,16 @@ class TestSrdProperties:
         want = classical_renyi(p, q, alpha)
         got = srd(np.diag(p).astype(complex), np.diag(q).astype(complex), alpha)
         assert abs(got.value - want) <= 1e-10 * max(1.0, abs(want))
+
+    @property_settings
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.5, 10.0))
+    def test_non_decreasing_in_order(self, d, seed, alpha):
+        # Mueller-Lennert et al. (2013) and Beigi (2013); alpha = 1 is the
+        # relative entropy, and orders above 1 read inf on uncontained supports
+        rng = np.random.default_rng(seed)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        sig = random_density(d, int(rng.integers(1, d + 1)), rng)
+        grid = sorted({0.5, 0.75, 1.0, 1.5, 2.0, 5.0, 10.0, alpha})
+        values = [srd(rho, sig, a).value for a in grid]
+        for lo, hi in zip(values, values[1:]):
+            assert hi == math.inf or hi >= lo - 1e-9 * max(1.0, abs(lo))

@@ -24,6 +24,10 @@ from qrenyi.divergences import (
     srd,
 )
 from qrenyi.dpi import (
+    _SEARCH_BATCH,
+    _draw_factors,
+    _states_from_factors,
+    _two_qubit_gap,
     dpi_check,
     dpi_violation_search,
     equality_residual,
@@ -35,12 +39,25 @@ from qrenyi.dpi import (
     sufficiency_test,
 )
 from qrenyi.entanglement import check_saturation_conditions
-from qrenyi.errors import DisjointSupports, NegativeEigenvalue, SupportViolation
+from qrenyi.errors import (
+    DisjointSupports,
+    NegativeEigenvalue,
+    NonFiniteInput,
+    NonHermitianInput,
+    SupportViolation,
+)
 from qrenyi.linalg import fidelity, hermitian_eig, max_abs, tensor
 from qrenyi.states import BipartiteState, random_density, random_unitary, substream
 from qrenyi.suites import _constructed_equality_instance, _random_triple
 
 ALPHAS = (0.5, 0.75, 1.5, 2.0, 3.0)
+
+# alpha in [1/2, 5]; near alpha = 1 the 1/(alpha - 1) factor amplifies roundoff
+orders = st.floats(0.5, 5.0).filter(lambda a: abs(a - 1.0) > 1e-3)
+
+property_settings = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
 
 
 def _valid_random_channel(rng, dmax=4):
@@ -315,6 +332,60 @@ class TestViolationSearch:
         with pytest.raises(ValueError):
             dpi_violation_search(1.5, trials=10, seed=0)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_batched_gaps_equal_per_pair_gaps(self, monkeypatch, alpha):
+        # two stacks, the second one partial: every sampled gap must equal
+        # the gap of its pair evaluated alone, bit for bit
+        trials, seed = _SEARCH_BATCH + 44, 531
+        batched = []
+
+        def recording_gap(rho, sig, a):
+            gaps = _two_qubit_gap(rho, sig, a)
+            batched.extend(gaps.tolist())
+            return gaps
+
+        monkeypatch.setattr("qrenyi.dpi._two_qubit_gap", recording_gap)
+        res = dpi_violation_search(alpha, trials, seed, refine_steps=0)
+        single = [
+            float(_two_qubit_gap(*_states_from_factors(*_draw_factors(seed, t)), alpha))
+            for t in range(trials)
+        ]
+        assert batched == single
+        assert res.gap == min(single)
+        rho, sig = _states_from_factors(*_draw_factors(seed, single.index(min(single))))
+        assert np.array_equal(res.rho_ab, rho) and np.array_equal(res.sigma_ab, sig)
+
+    def test_sampling_decomposes_each_stack_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(None)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        dpi_violation_search(0.3, 1000, 532, refine_steps=0)
+        # rho, sigma and the sandwich on each side of the partial trace
+        assert len(calls) == 6 * math.ceil(1000 / _SEARCH_BATCH)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.diag([np.nan, 0.5, 0.25, 0.25]), NonFiniteInput),
+            (np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) / 10, NonHermitianInput),
+            (np.diag([0.6, 0.6, -0.2, 0.0]), NegativeEigenvalue),
+        ],
+        ids=["nan", "non-hermitian", "negative"],
+    )
+    def test_bad_stack_member_raises_as_alone(self, bad, error):
+        good = random_density(4, 4, 533)
+        with pytest.raises(error):
+            srd(bad.astype(complex), good, 0.3)
+        stack = np.stack([good, good, bad.astype(complex), good])
+        for args in ((stack, np.stack([good] * 4)), (np.stack([good] * 4), stack)):
+            with pytest.raises(error):
+                _two_qubit_gap(*args, 0.3)
+
 
 class TestFidelityMeasurement:
     def test_attains_fidelity_and_breaks_sufficiency(self):
@@ -352,10 +423,13 @@ class TestFidelityMeasurement:
             _, f_cl = fidelity_attaining_povm(rho, sig)
             assert abs(f_cl - fidelity(rho, sig)) <= 1e-7
 
-    def test_order_half_equals_minus_two_log_fidelity(self):
-        rng = substream(523)
-        rho = random_density(2, 2, rng)
-        sig = random_density(2, 2, rng)
+    @property_settings
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_order_half_equals_minus_two_log_fidelity(self, d, seed):
+        # linalg.fidelity is an SVD route that shares no code with the sandwich
+        rng = np.random.default_rng(seed)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        sig = random_density(d, int(rng.integers(1, d + 1)), rng)
         got = srd(rho, sig, 0.5).value
         assert abs(got - (-2.0 * math.log2(fidelity(rho, sig)))) < 1e-10
 
@@ -473,14 +547,6 @@ class TestSupportCases:
             else:
                 with pytest.raises(expected):
                     fn()
-
-
-# alpha in [1/2, 5]; near alpha = 1 the 1/(alpha - 1) factor amplifies roundoff
-orders = st.floats(0.5, 5.0).filter(lambda a: abs(a - 1.0) > 1e-3)
-
-property_settings = settings(
-    max_examples=150, deadline=None, derandomize=True, database=None
-)
 
 
 class TestDpiProperties:
