@@ -586,3 +586,57 @@ class TestSrdProperties:
         values = [srd(rho, sig, a).value for a in grid]
         for lo, hi in zip(values, values[1:]):
             assert hi == math.inf or hi >= lo - 1e-9 * max(1.0, abs(lo))
+
+    @property_settings
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.5, 10.0))
+    def test_bounded_by_max_relative_entropy(self, d, seed, alpha):
+        # rho = sigma^1/2 tau sigma^1/2 / c is contained in supp(sigma), and
+        # sigma^-1/2 rho sigma^-1/2 = V tau V^dag / c gives D_max without a
+        # matrix power.  tr X^a >= lambda_max(X)^a gives, for a > 1,
+        # D~_a >= D_max - (log2(1 / lambda_min(sigma)) - D_max) / (a - 1)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, d + 1))
+        v = random_unitary(d, rng)[:, :k]
+        lam = rng.dirichlet(np.ones(k))
+        tau = random_density(k, int(rng.integers(1, k + 1)), rng)
+        rho = v @ (np.sqrt(lam)[:, None] * tau * np.sqrt(lam)) @ v.conj().T
+        c = float(np.trace(rho).real)
+        rho, sig = rho / c, (v * lam) @ v.conj().T
+        want = math.log2(float(np.linalg.eigvalsh(tau)[-1]) / c)
+        tol = 1e-9 * max(1.0, abs(want))
+        assert srd(rho, sig, alpha).value <= want + tol
+        slack = (math.log2(1.0 / lam.min()) - want) / 99.0
+        assert want - slack - tol <= srd(rho, sig, 100.0).value <= want + tol
+
+
+def _petz_conditional(rho_ab, dim_a, dim_b, alpha):
+    """Petz conditional entropy ``a/(1-a) log2 tr[(tr_A rho^a)^(1/a)]``
+    (Tomamichel, Berta & Hayashi 2014), from numpy eigendecompositions."""
+    lam, v = np.linalg.eigh(rho_ab)
+    lam = np.where(lam > 1e-12 * lam[-1], lam, 0.0)
+    power = (v * lam**alpha) @ v.conj().T
+    marg = np.einsum("abac->bc", power.reshape(dim_a, dim_b, dim_a, dim_b))
+    mu = np.clip(np.linalg.eigvalsh(marg), 0.0, None)
+    return alpha / (1.0 - alpha) * math.log2(float(np.sum(mu ** (1.0 / alpha))))
+
+
+def _renyi_of_spectrum(rho, alpha):
+    lam = np.linalg.eigvalsh(rho)
+    lam = lam[lam > 1e-12 * lam[-1]]
+    return math.log2(float(np.sum(lam**alpha))) / (1.0 - alpha)
+
+
+class TestConditionalRenyiProperties:
+    @property_settings
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1), orders)
+    def test_between_petz_and_marginal_entropies(self, dim_b, seed, alpha):
+        # D~_a <= D-bar_a (Araki-Lieb-Thirring) puts the Petz value below,
+        # and conditioning on B lowers the entropy of A
+        rng = np.random.default_rng(seed)
+        d = 2 * dim_b
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        value, _ = conditional_renyi(BipartiteState(rho, 2, dim_b), alpha)
+        lower = _petz_conditional(rho, 2, dim_b, alpha)
+        upper = _renyi_of_spectrum(partial_trace(rho, 2, dim_b, "A"), alpha)
+        assert lower <= value + 1e-9 * max(1.0, abs(value))
+        assert value <= upper + 1e-9 * max(1.0, abs(upper))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from qrenyi.divergences import (
     srd,
 )
 from qrenyi.dpi import (
+    _REFINE_AHEAD,
     _SEARCH_BATCH,
     _draw_factors,
     _states_from_factors,
@@ -67,6 +69,53 @@ def _valid_random_channel(rng, dmax=4):
     while kc * d_out < d_in:
         kc += 1
     return random_channel(d_in, d_out, kc, rng)
+
+
+@functools.cache
+def _search_one_step_at_a_time(alpha, trials, seed, refine_steps):
+    """Reference for ``dpi_violation_search``: every trial and every
+    refinement candidate scored alone, with a 2-D ``_two_qubit_gap``.
+    Returns ``(gap, rho_ab, sigma_ab, improving steps, whether the step
+    fell below 1e-6)``; cached, as several tests compare with one run."""
+
+    def score(g_rho, g_sig):
+        return float(_two_qubit_gap(*_states_from_factors(g_rho, g_sig), alpha))
+
+    factors = [_draw_factors(seed, t) for t in range(trials)]
+    sampled = [score(*f) for f in factors]
+    best = int(np.argmin(sampled))
+    gap, (g_rho, g_sig) = sampled[best], factors[best]
+    coords = np.concatenate(
+        [g_rho.real.ravel(), g_rho.imag.ravel(), g_sig.real.ravel(), g_sig.imag.ravel()]
+    )
+    n_rho = g_rho.size
+
+    def unpack(c):
+        gr = (c[:n_rho] + 1j * c[n_rho : 2 * n_rho]).reshape(g_rho.shape)
+        gs = c[2 * n_rho : 2 * n_rho + g_sig.size] + 1j * c[2 * n_rho + g_sig.size :]
+        return gr, gs.reshape(g_sig.shape)
+
+    step, k, improving, stopped = 0.1, 0, 0, False
+    for _ in range(refine_steps):
+        idx = k % coords.size
+        k += 1
+        improved = False
+        for delta in (step, -step):
+            trial_c = coords.copy()
+            trial_c[idx] += delta
+            val = score(*unpack(trial_c))
+            if val < gap:
+                gap, coords = val, trial_c
+                improved = True
+                improving += 1
+                break
+        if not improved and idx == coords.size - 1:
+            step *= 0.5
+            if step < 1e-6:
+                stopped = True
+                break
+    rho, sig = _states_from_factors(*unpack(coords))
+    return gap, rho, sig, improving, stopped
 
 
 class TestDpiCheck:
@@ -332,6 +381,10 @@ class TestViolationSearch:
         with pytest.raises(ValueError):
             dpi_violation_search(1.5, trials=10, seed=0)
 
+    def test_rejects_fractional_refine_steps(self):
+        with pytest.raises(TypeError):
+            dpi_violation_search(0.3, trials=10, seed=0, refine_steps=2.5)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
     def test_batched_gaps_equal_per_pair_gaps(self, monkeypatch, alpha):
         # two stacks, the second one partial: every sampled gap must equal
@@ -367,6 +420,63 @@ class TestViolationSearch:
         dpi_violation_search(0.3, 1000, 532, refine_steps=0)
         # rho, sigma and the sandwich on each side of the partial trace
         assert len(calls) == 6 * math.ceil(1000 / _SEARCH_BATCH)
+
+    @pytest.mark.parametrize(
+        "alpha, seed, refine_steps",
+        [(0.3, 1, 200), (0.3, 2, 50), (0.3, 3, 200), (0.5, 1, 200), (0.5, 4, 200)],
+    )
+    def test_stacked_refinement_equals_one_step_at_a_time(
+        self, alpha, seed, refine_steps
+    ):
+        gap, rho, sig, _, _ = _search_one_step_at_a_time(alpha, 40, seed, refine_steps)
+        res = dpi_violation_search(alpha, 40, seed, refine_steps)
+        assert res.gap == gap
+        assert np.array_equal(res.rho_ab, rho) and np.array_equal(res.sigma_ab, sig)
+
+    def test_stacked_refinement_stops_where_one_step_at_a_time_does(self):
+        # rank-1 factors: 16 coordinates, so the step falls below 1e-6
+        # well inside 2,000 steps
+        gap, rho, sig, _, stopped = _search_one_step_at_a_time(0.3, 40, 0, 2000)
+        assert stopped
+        res = dpi_violation_search(0.3, 40, 0, 2000)
+        assert res.rho_ab.shape == (4, 4) and np.linalg.matrix_rank(res.rho_ab) == 1
+        assert res.gap == gap
+        assert np.array_equal(res.rho_ab, rho) and np.array_equal(res.sigma_ab, sig)
+
+    @pytest.mark.parametrize("alpha, seed", [(0.3, 1), (0.5, 4)])
+    def test_refinement_scores_steps_ahead_in_stacks(self, monkeypatch, alpha, seed):
+        trials, refine_steps, calls = 40, 200, []
+
+        def counting_gap(rho, sig, a):
+            calls.append(None)
+            return _two_qubit_gap(rho, sig, a)
+
+        monkeypatch.setattr("qrenyi.dpi._two_qubit_gap", counting_gap)
+        dpi_violation_search(alpha, trials, seed, refine_steps)
+        improving = _search_one_step_at_a_time(alpha, trials, seed, refine_steps)[3]
+        refinement_calls = len(calls) - math.ceil(trials / _SEARCH_BATCH)
+        assert refinement_calls <= improving + math.ceil(refine_steps / _REFINE_AHEAD)
+
+    @pytest.mark.parametrize("alpha, seed", [(0.3, 1), (0.5, 4)])
+    def test_refinement_falls_back_to_one_at_a_time(self, monkeypatch, alpha, seed):
+        def refusing_gap(rho, sig, a):
+            if rho.ndim == 3 and 1 < len(rho) <= 2 * _REFINE_AHEAD:
+                raise ValueError("refused stack")
+            return _two_qubit_gap(rho, sig, a)
+
+        monkeypatch.setattr("qrenyi.dpi._two_qubit_gap", refusing_gap)
+        gap, rho, sig, _, _ = _search_one_step_at_a_time(alpha, 40, seed, 200)
+        res = dpi_violation_search(alpha, 40, seed, 200)
+        assert res.gap == gap
+        assert np.array_equal(res.rho_ab, rho) and np.array_equal(res.sigma_ab, sig)
+
+    def test_refinement_raises_where_one_step_at_a_time_does(self):
+        # at alpha = 0.1 the trace functional underflows on a refined pair
+        with pytest.raises(ValueError, match="underflows") as want:
+            _search_one_step_at_a_time(0.1, 40, 39, 200)
+        with pytest.raises(ValueError, match="underflows") as got:
+            dpi_violation_search(0.1, 40, 39, 200)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize(
         "bad, error",
