@@ -17,6 +17,7 @@ from .errors import (
     AbsoluteContinuityViolation,
     DisjointSupports,
     OptimizerNonConvergence,
+    PrecisionLoss,
     SupportViolation,
 )
 from .linalg import (
@@ -28,7 +29,6 @@ from .linalg import (
     # unused here, but kept bound: bench/tracer.py wraps ``divergences.minimize``
     # to count nfev, which now reads 0 for this module
     minimize,  # noqa: F401
-    partial_trace,
     positive_spectrum,
 )
 from .states import BipartiteState, purify
@@ -164,7 +164,7 @@ def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
     """``log2 sum(lam**alpha)`` over the kept ``lam`` along the last axis,
     finite at any order."""
     if not keep.any(axis=-1).all():
-        raise ValueError(f"trace functional underflows to 0 at alpha = {alpha}")
+        raise PrecisionLoss(f"trace functional underflows to 0 at alpha = {alpha}")
     top, rest = _factored_power(lam, alpha, keep)
     return alpha * _log2(top) + _log2(rest)
 
@@ -200,7 +200,7 @@ def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     """Sandwiched Renyi divergence of order alpha (alpha = 1 is the
     relative-entropy limit and dispatches exactly).
 
-    Raises ValueError when no eigenvalue of the sandwiched operator
+    Raises PrecisionLoss when no eigenvalue of the sandwiched operator
     survives the support cutoff, which happens at extreme orders such as
     alpha = 1e-300.  The trace power is summed in the log domain, so large
     orders do not overflow.
@@ -360,32 +360,38 @@ def _fixed_point_step(
     rho_ab: np.ndarray,
     dim_a: int,
     dim_b: int,
-    sigma_b: np.ndarray,
+    sigma_spec: Spectrum,
     order: RenyiOrder,
     required_rank: int,
 ):
-    """One multiplicative update for the conditional-entropy minimization.
+    """One multiplicative update for the conditional-entropy minimization,
+    from the spectrum of the current sigma_B.
 
     Returns ``(value, next_sigma)`` where ``value`` is
     D(rho_AB || 1_A (x) sigma_B) at the current sigma and ``next_sigma`` is
     the normalized ``tr_A[((1 (x) sigma^g) rho (1 (x) sigma^g))^a]``
-    (``None`` when the value is infinite).  Two eigendecompositions per call.
+    (``None`` when the value is infinite).  One eigendecomposition per call.
     """
     alpha = order.alpha
-    spec = hermitian_eig(sigma_b)
-    if alpha > 1.0 and int(np.sum(spec.support_mask())) < required_rank:
+    keep = sigma_spec.support_mask()
+    if alpha > 1.0 and int(np.sum(keep)) < required_rank:
         return math.inf, None
-    s_g = spec.on_support(lambda lam: lam**order.gamma)
-    big = np.kron(np.eye(dim_a, dtype=np.complex128), s_g)
-    x = hermitian_part(big @ rho_ab @ big)
-    xa = hermitian_eig(x).on_support(lambda lam: lam**alpha)
-    q = float(np.trace(xa).real)
+    lam = sigma_spec.eigenvalues
+    s = sigma_spec.reconstruct(
+        np.power(lam, order.gamma, out=np.zeros_like(lam), where=keep)
+    )
+    # 1 (x) s acts on each A block: on the rows from the left, then on the
+    # columns from the right, so no Kronecker product is formed
+    d = dim_a * dim_b
+    left = (s @ rho_ab.reshape(dim_a, dim_b, d)).reshape(d, dim_a, dim_b)
+    x = hermitian_eig((left @ s).reshape(d, d))
+    power = np.where(x.support_mask(), x.eigenvalues, 0.0) ** alpha
+    q = float(np.sum(power))
     if q <= 0.0:
         return math.inf, None
-    value = math.log2(q) / (alpha - 1.0)
-    nxt = partial_trace(xa, dim_a, dim_b, keep="B")
-    nxt = hermitian_part(nxt / q)
-    return value, nxt
+    xa = x.reconstruct(power).reshape(dim_a, dim_b, dim_a, dim_b)
+    nxt = hermitian_part(np.einsum("abac->bc", xa) / q)
+    return math.log2(q) / (alpha - 1.0), nxt
 
 
 def conditional_renyi(state: BipartiteState, alpha: float):
@@ -396,9 +402,10 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     ``sigma <- tr_A[((1 (x) sigma^g) rho (1 (x) sigma^g))^a]`` (normalized),
     whose stationary point is the unique optimum of this convex problem.
     A depth-1 Anderson step is tried at every iteration, damped or not, and
-    the plain step is halved whenever the value would rise.  The iteration stops when the map moves sigma by
-    less than ``_FP_TOL`` in max-entry norm, after ``_FP_MAX_ITER`` steps,
-    or when damping falls below 1e-3; the best iterate is returned.
+    the plain step is halved whenever the value would rise.  The iteration
+    stops when the map moves sigma by less than ``_FP_TOL`` in max-entry
+    norm, after ``_FP_MAX_ITER`` steps, or when damping falls below 1e-3;
+    the best iterate is returned.
     """
     if alpha < 0.5:
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
@@ -409,22 +416,24 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     rho_ab = state.mat
     dim_a, dim_b = state.dim_a, state.dim_b
 
-    r = int(np.sum(positive_spectrum(rho_b).support_mask()))
+    spec_b = positive_spectrum(rho_b)
+    r = int(np.sum(spec_b.support_mask()))
 
     def psd_state(m):
         # project onto states of full rank on supp(rho_B): extrapolated
         # candidates must not collapse the support, or the multiplicative
-        # map gets trapped on a face of the simplex
+        # map gets trapped on a face of the simplex; returns the state and
+        # its spectrum, the clipped values on the same eigenvectors
         spec = hermitian_eig(hermitian_part(m))
         vals = np.clip(spec.eigenvalues, 0.0, None)
         if float(np.sum(vals)) <= 0.0:
-            return None
+            return None, None
         vals = np.clip(vals, float(np.max(vals)) * 1e-8, None)
-        vals /= np.sum(vals)
-        return hermitian_part(spec.reconstruct(vals))
+        projected = Spectrum(vals / np.sum(vals), spec.eigenvectors)
+        return hermitian_part(projected.reconstruct()), projected
 
     sigma = rho_b.copy()
-    val, nxt = _fixed_point_step(rho_ab, dim_a, dim_b, sigma, order, r)
+    val, nxt = _fixed_point_step(rho_ab, dim_a, dim_b, spec_b, order, r)
     best_val, best_sigma = val, sigma
     damp = 1.0
     prev_sigma = None
@@ -445,10 +454,10 @@ def conditional_renyi(state: BipartiteState, alpha: float):
             den = float(np.vdot(dr, dr).real)
             if den > 1e-300:
                 theta = float(np.vdot(dr, r1).real) / den
-                acc = psd_state(nxt - theta * (nxt - prev_nxt))
+                acc, acc_spec = psd_state(nxt - theta * (nxt - prev_nxt))
                 if acc is not None:
                     acc_val, acc_nxt = _fixed_point_step(
-                        rho_ab, dim_a, dim_b, acc, order, r
+                        rho_ab, dim_a, dim_b, acc_spec, order, r
                     )
                     if (
                         acc_nxt is not None
@@ -462,7 +471,7 @@ def conditional_renyi(state: BipartiteState, alpha: float):
             else:
                 candidate = hermitian_part((1.0 - damp) * sigma + damp * nxt)
             cand_val, cand_nxt = _fixed_point_step(
-                rho_ab, dim_a, dim_b, candidate, order, r
+                rho_ab, dim_a, dim_b, hermitian_eig(candidate), order, r
             )
             if cand_val > val + 1e-13:
                 damp *= 0.5

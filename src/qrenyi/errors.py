@@ -49,6 +49,11 @@ class UnknownSuite(QRenyiError):
     """No property suite registered under the requested name."""
 
 
+class PrecisionLoss(QRenyiError, ValueError):
+    """A quantity is lost to floating-point range, such as a trace
+    functional that underflows to 0 at a small order."""
+
+
 class OptimizerNonConvergence(QRenyiError):
     """Optimization failed to converge; carries the best value found."""
 

@@ -337,3 +337,12 @@ class TestExitCodes:
         )
         capsys.readouterr()
         assert code == EXIT_PRECONDITION
+
+    def test_precision_loss(self, capsys):
+        # valid arguments whose refined pair's trace functional underflows
+        code = main(
+            ["violation-search", "--alpha", "0.1", "--trials", "1000", "--seed", "6"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_PRECONDITION
+        assert err == "error: trace functional underflows to 0 at alpha = 0.1\n"

@@ -29,10 +29,12 @@ from qrenyi.errors import (
 )
 from qrenyi.linalg import (
     fidelity,
+    hermitian_eig,
     hermitian_part,
     matrix_power_on_support,
     max_abs,
     partial_trace,
+    support_of,
     tensor,
 )
 from qrenyi.states import (
@@ -437,6 +439,19 @@ class TestEntropies:
         assert abs(conditional_entropy(bell_state()) + 1.0) < 1e-10
 
 
+def _count_eigh(monkeypatch):
+    """A list that grows by one at each ``numpy.linalg.eigh`` call from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 class TestConditionalRenyi:
     def test_rejects_small_alpha(self):
         with pytest.raises(ValueError):
@@ -504,6 +519,42 @@ class TestConditionalRenyi:
         value, _ = conditional_renyi(st, 3.0)
         assert len(calls) < 200
         assert abs(value + 0.36521149265626) < 1e-12
+
+    @pytest.mark.parametrize(
+        "seed, d, rank, dim_b, alpha",
+        [((933, 72), 6, 2, 3, 3.0), ((424, 1), 4, 4, 2, 2.0)],
+    )
+    def test_decomposes_each_candidate_once(
+        self, monkeypatch, seed, d, rank, dim_b, alpha
+    ):
+        # one decomposition of the candidate sigma and one of the sandwich;
+        # the first is rho_B's, which also gives the rank guard its rank
+        import qrenyi.divergences as divergences
+
+        steps = []
+        step = divergences._fixed_point_step
+
+        def counting_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(divergences, "_fixed_point_step", counting_step)
+        rho = random_density(d, rank, substream(*seed))
+        st = BipartiteState(rho, d // dim_b, dim_b)
+        eighs = _count_eigh(monkeypatch)
+        conditional_renyi(st, alpha)
+        assert 0 < len(eighs) <= 2 * len(steps)
+
+    def test_step_decomposes_the_sandwich_once(self, monkeypatch):
+        from qrenyi.divergences import _fixed_point_step
+
+        rng = substream(934)
+        rho = random_density(6, 6, rng)
+        sigma = hermitian_eig(random_density(3, 3, rng))
+        eighs = _count_eigh(monkeypatch)
+        value, nxt = _fixed_point_step(rho, 2, 3, sigma, RenyiOrder(2.0), 3)
+        assert math.isfinite(value) and nxt.shape == (3, 3)
+        assert len(eighs) == 1
 
 
 class TestDuality:
@@ -626,6 +677,30 @@ def _renyi_of_spectrum(rho, alpha):
     return math.log2(float(np.sum(lam**alpha))) / (1.0 - alpha)
 
 
+def _kron_fixed_point_step(rho_ab, dim_a, dim_b, sigma_b, alpha, required_rank):
+    """The conditional-entropy fixed-point step written out with ``np.kron``,
+    numpy's ``eigh`` and the support rule ``lam > 1e-10 max(1, lam_max)``."""
+
+    def on_support(m, fn):
+        lam, v = np.linalg.eigh(m)
+        keep = lam > 1e-10 * max(1.0, lam[-1])
+        vals = np.zeros_like(lam)
+        vals[keep] = fn(lam[keep])
+        return (v * vals) @ v.conj().T, int(np.sum(keep))
+
+    gamma = (1.0 - alpha) / (2.0 * alpha)
+    s_g, rank = on_support(sigma_b, lambda lam: lam**gamma)
+    if alpha > 1.0 and rank < required_rank:
+        return math.inf, None
+    big = np.kron(np.eye(dim_a), s_g)
+    xa, _ = on_support(big @ rho_ab @ big, lambda lam: lam**alpha)
+    q = float(np.trace(xa).real)
+    if q <= 0.0:
+        return math.inf, None
+    marg = np.trace(xa.reshape(dim_a, dim_b, dim_a, dim_b), axis1=0, axis2=2)
+    return math.log2(q) / (alpha - 1.0), marg / q
+
+
 class TestConditionalRenyiProperties:
     @property_settings
     @given(st.integers(2, 3), st.integers(0, 2**32 - 1), orders)
@@ -640,3 +715,31 @@ class TestConditionalRenyiProperties:
         upper = _renyi_of_spectrum(partial_trace(rho, 2, dim_b, "A"), alpha)
         assert lower <= value + 1e-9 * max(1.0, abs(value))
         assert value <= upper + 1e-9 * max(1.0, abs(upper))
+
+    @property_settings
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+        st.integers(0, 2**32 - 1),
+        orders,
+        st.booleans(),
+    )
+    def test_step_matches_kronecker_formula(self, dims, seed, alpha, full_sigma):
+        from qrenyi.divergences import _fixed_point_step
+
+        dim_a, dim_b = dims
+        rng = np.random.default_rng(seed)
+        d = dim_a * dim_b
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        k = dim_b if full_sigma else int(rng.integers(1, dim_b))
+        sigma = random_density(dim_b, k, rng)
+        r = support_of(partial_trace(rho, dim_a, dim_b, "B")).rank
+        value, nxt = _fixed_point_step(
+            rho, dim_a, dim_b, hermitian_eig(sigma), RenyiOrder(alpha), r
+        )
+        want, want_nxt = _kron_fixed_point_step(rho, dim_a, dim_b, sigma, alpha, r)
+        if want_nxt is None:
+            assert value == math.inf and nxt is None
+            return
+        tol = 1e-12 * max(1.0, abs(want))
+        assert abs(value - want) <= tol
+        assert max_abs(nxt - want_nxt) <= tol
