@@ -22,7 +22,9 @@ from .errors import (
 )
 from .linalg import (
     Spectrum,
+    _bare_eig,
     as_complex_matrix,
+    check_hermitian,
     hermitian_eig,
     hermitian_part,
     max_abs,
@@ -146,10 +148,11 @@ def _log2(x) -> np.ndarray:
 
 
 def _factored_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
-    """``(top, rest)`` with ``sum(lam**alpha) = top**alpha * rest`` over
+    """``(top, ratio, rest)`` with ``lam**alpha = top**alpha * ratio`` on
     the kept ``lam`` along the last axis (ascending, positive where kept,
-    at least one kept per row).  ``top`` is the dominant kept eigenvalue
-    (the largest for alpha > 0, the smallest for alpha < 0), so
+    at least one kept per row), ``ratio`` 0 elsewhere, and ``rest`` the
+    sum of ``ratio``.  ``top`` is the dominant kept eigenvalue (the largest
+    for alpha > 0, the smallest for alpha < 0), so ``0 <= ratio <= 1`` and
     ``1 <= rest <= lam.shape[-1]``: ``lam**alpha`` itself overflows or
     underflows at large ``|alpha|``."""
     if alpha > 0:
@@ -157,7 +160,7 @@ def _factored_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
     else:
         top = np.minimum.reduce(lam, axis=-1, where=keep, initial=math.inf)
     ratio = np.power(lam / top[..., None], alpha, out=np.zeros_like(lam), where=keep)
-    return top, np.add.reduce(ratio, axis=-1, where=keep)
+    return top, ratio, np.add.reduce(ratio, axis=-1, where=keep)
 
 
 def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
@@ -165,7 +168,7 @@ def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
     finite at any order."""
     if not keep.any(axis=-1).all():
         raise PrecisionLoss(f"trace functional underflows to 0 at alpha = {alpha}")
-    top, rest = _factored_power(lam, alpha, keep)
+    top, _, rest = _factored_power(lam, alpha, keep)
     return alpha * _log2(top) + _log2(rest)
 
 
@@ -175,7 +178,7 @@ def _trace_power(spec: Spectrum, alpha: float) -> float:
     keep = spec.support_mask()
     if not keep.any():
         return 0.0
-    top, rest = _factored_power(spec.eigenvalues, alpha, keep)
+    top, _, rest = _factored_power(spec.eigenvalues, alpha, keep)
     try:
         return math.pow(top, alpha) * float(rest)
     except OverflowError:
@@ -370,7 +373,9 @@ def _fixed_point_step(
     Returns ``(value, next_sigma)`` where ``value`` is
     D(rho_AB || 1_A (x) sigma_B) at the current sigma and ``next_sigma`` is
     the normalized ``tr_A[((1 (x) sigma^g) rho (1 (x) sigma^g))^a]``
-    (``None`` when the value is infinite).  One eigendecomposition per call.
+    (``None`` when the value is infinite).  One eigendecomposition per call,
+    bare (:func:`linalg._bare_eig`): the sandwich is formed here from the
+    checked state, and only phase-invariant functions of it are read.
     """
     alpha = order.alpha
     keep = sigma_spec.support_mask()
@@ -384,14 +389,15 @@ def _fixed_point_step(
     # columns from the right, so no Kronecker product is formed
     d = dim_a * dim_b
     left = (s @ rho_ab.reshape(dim_a, dim_b, d)).reshape(d, dim_a, dim_b)
-    x = hermitian_eig((left @ s).reshape(d, d))
-    power = np.where(x.support_mask(), x.eigenvalues, 0.0) ** alpha
-    q = float(np.sum(power))
-    if q <= 0.0:
+    x = _bare_eig((left @ s).reshape(d, d))
+    x_keep = x.support_mask()
+    if not x_keep[-1]:
         return math.inf, None
+    # tr X^a = top^a q: the scale top cancels from the normalized next sigma
+    top, power, q = _factored_power(x.eigenvalues, alpha, x_keep)
     xa = x.reconstruct(power).reshape(dim_a, dim_b, dim_a, dim_b)
     nxt = hermitian_part(np.einsum("abac->bc", xa) / q)
-    return math.log2(q) / (alpha - 1.0), nxt
+    return (alpha * math.log2(top) + math.log2(q)) / (alpha - 1.0), nxt
 
 
 def conditional_renyi(state: BipartiteState, alpha: float):
@@ -406,6 +412,13 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     stops when the map moves sigma by less than ``_FP_TOL`` in max-entry
     norm, after ``_FP_MAX_ITER`` steps, or when damping falls below 1e-3;
     the best iterate is returned.
+
+    The input state is checked once (finite, Hermitian), and only its
+    marginal rho_B is decomposed through the checked and phased
+    :func:`positive_spectrum`.  The sandwich, the plain or damped candidate
+    and the Anderson candidate are operators the loop forms from the
+    checked state, so they are decomposed bare (no check, no phase
+    convention); every later use of those spectra is phase-invariant.
     """
     if alpha < 0.5:
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
@@ -414,6 +427,9 @@ def conditional_renyi(state: BipartiteState, alpha: float):
         return conditional_entropy(state), rho_b
     order = RenyiOrder(alpha)
     rho_ab = state.mat
+    # BipartiteState checks only the shape; the loop's own operators are
+    # formed from rho_AB and decomposed unchecked, so it is checked here
+    check_hermitian(rho_ab)
     dim_a, dim_b = state.dim_a, state.dim_b
 
     spec_b = positive_spectrum(rho_b)
@@ -424,7 +440,7 @@ def conditional_renyi(state: BipartiteState, alpha: float):
         # candidates must not collapse the support, or the multiplicative
         # map gets trapped on a face of the simplex; returns the state and
         # its spectrum, the clipped values on the same eigenvectors
-        spec = hermitian_eig(hermitian_part(m))
+        spec = _bare_eig(m)
         vals = np.clip(spec.eigenvalues, 0.0, None)
         if float(np.sum(vals)) <= 0.0:
             return None, None
@@ -471,7 +487,7 @@ def conditional_renyi(state: BipartiteState, alpha: float):
             else:
                 candidate = hermitian_part((1.0 - damp) * sigma + damp * nxt)
             cand_val, cand_nxt = _fixed_point_step(
-                rho_ab, dim_a, dim_b, hermitian_eig(candidate), order, r
+                rho_ab, dim_a, dim_b, _bare_eig(candidate), order, r
             )
             if cand_val > val + 1e-13:
                 damp *= 0.5

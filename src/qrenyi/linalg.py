@@ -128,16 +128,33 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     return 0.5 * (m + adj)
 
 
+def _bare_eig(h: np.ndarray) -> Spectrum:
+    """LAPACK ``eigh`` of a Hermitian matrix, or of each of a stack, and
+    nothing else: the package's one eigensolver call.
+
+    For operators the library formed itself from already checked input.
+    There is no finiteness or hermiticity check (LAPACK reads the lower
+    triangle) and no phase convention, so the eigenvectors carry whatever
+    phases LAPACK returns: use the result only in phase-invariant ways,
+    such as the eigenvalues, ``support_mask`` and ``reconstruct``.
+    """
+    return Spectrum(*np.linalg.eigh(h))
+
+
 def hermitian_eig(h: np.ndarray) -> Spectrum:
     """Eigendecomposition of a complex Hermitian matrix, or of each matrix
-    of a stack ``(..., d, d)``, by LAPACK ``eigh``.
+    of a stack ``(..., d, d)``, by LAPACK ``eigh``; the checked and phased
+    decomposition of the public boundary.
 
     The input is checked (finite, Hermitian) and symmetrized first.
     Eigenvalues are returned ascending; each eigenvector is phased so its
     largest-magnitude entry is real positive, which makes the decomposition
-    deterministic.
+    deterministic.  Inside the conditional-entropy fixed point the library
+    decomposes its own operators with the unchecked, unphased
+    :func:`_bare_eig` instead.
     """
-    evals, v = np.linalg.eigh(check_hermitian(h))
+    spec = _bare_eig(check_hermitian(h))
+    v = spec.eigenvectors
     # Deterministic phases: largest-magnitude entry of each column real > 0.
     if v.size:
         rows = np.argmax(np.abs(v), axis=-2)
@@ -145,7 +162,7 @@ def hermitian_eig(h: np.ndarray) -> Spectrum:
         cols = v.mT.reshape(-1, v.shape[-1])
         anchors = cols[np.arange(rows.size), rows.ravel()].reshape(rows.shape)
         v = v * (anchors.conjugate() / np.abs(anchors))[..., None, :]
-    return Spectrum(evals, v)
+    return Spectrum(spec.eigenvalues, v)
 
 
 def positive_spectrum(a: np.ndarray) -> Spectrum:

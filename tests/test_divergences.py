@@ -25,6 +25,7 @@ from qrenyi.divergences import (
 from qrenyi.errors import (
     AbsoluteContinuityViolation,
     DisjointSupports,
+    NonHermitianInput,
     SupportViolation,
 )
 from qrenyi.linalg import (
@@ -556,6 +557,51 @@ class TestConditionalRenyi:
         assert math.isfinite(value) and nxt.shape == (3, 3)
         assert len(eighs) == 1
 
+    def test_checks_only_the_inputs(self, monkeypatch):
+        # the loop decomposes operators it formed itself from the checked
+        # state, so check_hermitian sees rho_AB and rho_B once each
+        import qrenyi.divergences as divergences
+        import qrenyi.linalg as linalg
+
+        steps, checks = [], []
+        step, check = divergences._fixed_point_step, linalg.check_hermitian
+
+        def counting_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        def counting_check(*args):
+            checks.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(divergences, "_fixed_point_step", counting_step)
+        monkeypatch.setattr(divergences, "check_hermitian", counting_check)
+        monkeypatch.setattr(linalg, "check_hermitian", counting_check)
+        st = BipartiteState(random_density(6, 2, substream(933, 72)), 2, 3)
+        conditional_renyi(st, 3.0)
+        assert len(steps) > 10
+        assert len(checks) == 2
+
+    def test_rejects_non_hermitian_state(self):
+        # |a0 b0><a1 b0| is off-diagonal in A, so rho_B stays Hermitian
+        mat = random_density(4, 4, substream(935)).copy()
+        mat[0, 2] += 0.05
+        with pytest.raises(NonHermitianInput):
+            conditional_renyi(BipartiteState(mat, 2, 2), 2.0)
+
+    def test_huge_order_stays_finite(self):
+        # X's largest eigenvalue is factored out of X^a, so its powers
+        # neither underflow to 0 at a = 1e6 nor change the value at a = 1e3
+        st = BipartiteState(random_density(4, 4, 3), 2, 2)
+        rho_a = st.marginal_a()
+        value, opt = conditional_renyi(st, 1e6)
+        lower = -renyi_entropy(rho_a, RenyiOrder(1e6).dual_beta)
+        assert lower <= value <= renyi_entropy(rho_a, 1e6)
+        assert abs(np.trace(opt).real - 1.0) < 1e-9
+        value_1e3, _ = conditional_renyi(st, 1e3)
+        assert value_1e3 - 1e-2 < value <= value_1e3 + 1e-12  # non-increasing
+        assert abs(value_1e3 - 0.19834959247626) < 1e-12
+
 
 class TestDuality:
     def test_product_state(self):
@@ -577,6 +623,12 @@ class TestDuality:
     def test_rejects_half(self):
         with pytest.raises(ValueError):
             duality_gap(bell_state(), 0.5)
+
+    def test_order_near_half_does_not_overflow(self):
+        # the dual order is about 2.5e6, where the A|C sandwich's eigenvalues
+        # above 1 overflowed when raised to it
+        st = BipartiteState(random_density(4, 4, 3), 2, 2)
+        assert math.isfinite(duality_gap(st, 0.5000001))
 
     def test_fixed_point_alone_closes_slow_state(self, monkeypatch):
         # at order 3 this state needs more than 500 fixed-point steps
