@@ -1,13 +1,14 @@
 """Command-line front end: matrix/channel JSON I/O, divergence and
 certificate evaluation, and the seeded property-suite runners.
 
-Exit codes: 0 success, 1 suite failure, 2 parse error or invalid argument
-value, 3 precondition (support/dimension) violation.
+Exit codes: 0 success, 1 suite failure, 2 parse error, invalid argument
+value or unwritable output, 3 precondition (support/dimension) violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -44,7 +45,10 @@ EXIT_PRECONDITION = 3
 
 
 class MatrixFileError(Exception):
-    """Raised when a matrix/channel JSON document cannot be interpreted."""
+    """Raised when a matrix/channel JSON document cannot be read or
+    interpreted, or the output cannot be written.  Deliberately not a
+    ValueError: argparse would turn one raised while loading a file into
+    its own exit with its own message."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +75,8 @@ def matrix_to_doc(mat: np.ndarray, kind: str = "state", dims=None) -> dict:
         doc["dimA"], doc["dimB"] = int(dims[0]), int(dims[1])
     else:
         doc["dim"] = int(m.shape[0])
-    doc["re"] = [float(x) for x in m.real.ravel()]
-    doc["im"] = [float(x) for x in m.imag.ravel()]
+    doc["re"] = m.real.ravel().tolist()
+    doc["im"] = m.imag.ravel().tolist()
     return doc
 
 
@@ -82,10 +86,7 @@ def channel_to_doc(channel: QuantumChannel) -> dict:
         "dim_in": channel.dim_in,
         "dim_out": channel.dim_out,
         "kraus": [
-            {
-                "re": [float(x) for x in k.real.ravel()],
-                "im": [float(x) for x in k.imag.ravel()],
-            }
+            {"re": k.real.ravel().tolist(), "im": k.imag.ravel().tolist()}
             for k in channel.kraus
         ],
     }
@@ -146,11 +147,11 @@ def load_doc(path: str):
     return parse_matrix_doc(doc)
 
 
-def _load_square(path: str):
+def _load_square(path: str) -> np.ndarray:
     obj = load_doc(path)
     if isinstance(obj, QuantumChannel):
         raise MatrixFileError(f"{path} holds a channel, expected a matrix")
-    return obj
+    return obj[0]
 
 
 def _load_channel(path: str) -> QuantumChannel:
@@ -161,10 +162,10 @@ def _load_channel(path: str) -> QuantumChannel:
 
 
 def _load_bipartite(path: str) -> BipartiteState:
-    mat, dims = _load_square(path)
-    if dims is None:
+    obj = load_doc(path)
+    if isinstance(obj, QuantumChannel) or obj[1] is None:
         raise MatrixFileError(f"{path} must carry dimA/dimB for this command")
-    return BipartiteState(mat, dims[0], dims[1])
+    return BipartiteState(obj[0], *obj[1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,191 +193,190 @@ def _jsonable(x):
 
 def emit(payload: dict, output: str | None) -> None:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    print(text)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _tolerance_dict(pairs):
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise MatrixFileError(f"--tolerance expects KEY=VAL, got {item!r}")
-        key, val = item.split("=", 1)
         try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise MatrixFileError(f"tolerance {item!r} is not numeric") from exc
-    return out
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise MatrixFileError(f"cannot write {output}: {exc}") from exc
+    print(text)
+
+
+def _tolerance_pair(item: str):
+    key, _, val = item.partition("=")
+    try:
+        return key, float(val)
+    except ValueError as exc:
+        raise MatrixFileError(f"--tolerance {item!r} is not KEY=NUMBER") from exc
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-
-def cmd_divergence(args) -> int:
-    rho, _ = _load_square(args.rho)
-    sigma, _ = _load_square(args.sigma)
-    fn = {"srd": srd, "rre": rre, "qre": qre, "dmax": d_max}[args.kind]
-    dv = fn(rho, sigma, args.alpha) if args.kind in ("srd", "rre") else fn(rho, sigma)
-    emit(
-        {"kind": args.kind, "alpha": args.alpha, "value": dv.value,
-         "support_case": dv.support_case},
-        args.output,
-    )
-    return EXIT_OK
-
-
-def cmd_equality(args) -> int:
-    rho, _ = _load_square(args.rho)
-    sigma, _ = _load_square(args.sigma)
-    chan = _load_channel(args.channel)
-    cert = equality_residual(rho, sigma, chan, args.alpha)
-    rep = dpi_check(rho, sigma, chan, args.alpha)
-    emit(
-        {
-            "alpha": args.alpha,
-            "gap": rep.gap,
-            "residual": cert.residual,
-            "verdict": cert.verdict,
-        },
-        args.output,
-    )
-    return EXIT_OK
+#: Options several subcommands share, as ``add_argument`` keywords.  The
+#: file options load their file while the command line is parsed, so a
+#: command receives matrices, channels and states.
+_SHARED = {
+    "rho": {"type": _load_square, "required": True},
+    "sigma": {"type": _load_square, "required": True},
+    "channel": {"type": _load_channel, "required": True},
+    "state": {"type": _load_bipartite, "required": True},
+    "alpha": {"type": float, "default": 2.0},
+    "seed": {"type": int, "default": 0},
+}
+#: (function, own options) of each subcommand, in registration order.
+_COMMANDS = []
 
 
-def cmd_recover(args) -> int:
-    sigma, _ = _load_square(args.sigma)
-    chan = _load_channel(args.channel)
-    rec = petz_recovery(sigma, chan)
-    back = apply(rec.channel, apply(chan, sigma))
+def _command(**own):
+    """Register the decorated ``cmd_<name>`` as subcommand ``<name>``.
+
+    Its parameters are its options, declared by ``own`` (option ->
+    ``add_argument`` keywords) or else by ``_SHARED``; its docstring is the
+    help text.  It returns the payload to emit.
+    """
+
+    def register(func):
+        _COMMANDS.append((func, own))
+        return func
+
+    return register
+
+
+@_command(kind={"choices": ["srd", "rre", "qre", "dmax"], "required": True})
+def cmd_divergence(kind, rho, sigma, alpha) -> dict:
+    """Evaluate a divergence on two operators."""
+    fn = {"srd": srd, "rre": rre, "qre": qre, "dmax": d_max}[kind]
+    dv = fn(rho, sigma, alpha) if kind in ("srd", "rre") else fn(rho, sigma)
+    return {"kind": kind, "alpha": alpha, "value": dv.value,
+            "support_case": dv.support_case}
+
+
+@_command()
+def cmd_equality(rho, sigma, channel, alpha) -> dict:
+    """Equality certificate across a channel."""
+    cert = equality_residual(rho, sigma, channel, alpha)
+    rep = dpi_check(rho, sigma, channel, alpha)
+    return {
+        "alpha": alpha,
+        "gap": rep.gap,
+        "residual": cert.residual,
+        "verdict": cert.verdict,
+    }
+
+
+@_command(state={"type": _load_square, "help": "optional state to push through"})
+def cmd_recover(sigma, channel, state) -> dict:
+    """Build the recovery map anchored at sigma."""
+    rec = petz_recovery(sigma, channel)
+    back = apply(rec.channel, apply(channel, sigma))
     payload = {
         "recover_sigma_error": max_abs(back - sigma),
         "recovery_channel": channel_to_doc(rec.channel),
     }
-    if args.state:
-        omega, _ = _load_square(args.state)
+    if state is not None:
         payload["recovered_state"] = matrix_to_doc(
-            apply(rec.channel, omega), kind="positive"
+            apply(rec.channel, state), kind="positive"
         )
-    emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
-def cmd_sufficiency(args) -> int:
-    rho, _ = _load_square(args.rho)
-    sigma, _ = _load_square(args.sigma)
-    chan = _load_channel(args.channel)
-    rec = petz_recovery(sigma, chan)
-    back = apply(rec.channel, apply(chan, rho))
-    emit(
-        {
-            "sufficient": sufficiency_test(rho, sigma, chan),
-            "recovery_error": max_abs(back - rho),
-        },
-        args.output,
-    )
-    return EXIT_OK
+@_command()
+def cmd_sufficiency(rho, sigma, channel) -> dict:
+    """Does the recovery map restore rho?"""
+    rec = petz_recovery(sigma, channel)
+    back = apply(rec.channel, apply(channel, rho))
+    return {
+        "sufficient": sufficiency_test(rho, sigma, channel),
+        "recovery_error": max_abs(back - rho),
+    }
 
 
-def cmd_conditional_entropy(args) -> int:
-    state = _load_bipartite(args.state)
-    value, optimizer = conditional_renyi(state, args.alpha)
-    emit(
-        {
-            "alpha": args.alpha,
-            "value": value,
-            "optimizer": matrix_to_doc(optimizer, kind="state"),
-        },
-        args.output,
-    )
-    return EXIT_OK
+@_command()
+def cmd_conditional_entropy(state, alpha) -> dict:
+    """Renyi conditional entropy of a bipartite state."""
+    value, optimizer = conditional_renyi(state, alpha)
+    return {
+        "alpha": alpha,
+        "value": value,
+        "optimizer": matrix_to_doc(optimizer, kind="state"),
+    }
 
 
-def cmd_araki_lieb(args) -> int:
-    state = _load_bipartite(args.state)
-    rep = araki_lieb_renyi(state, args.alpha)
-    emit(
-        {
-            "alpha": rep.alpha,
-            "beta": rep.beta,
-            "lower": rep.lower,
-            "value": rep.value,
-            "upper": rep.upper,
-            "saturation_residual": rep.saturation_residual,
-        },
-        args.output,
-    )
-    return EXIT_OK
+@_command()
+def cmd_araki_lieb(state, alpha) -> dict:
+    """Conditional-entropy sandwich report."""
+    rep = araki_lieb_renyi(state, alpha)
+    return {
+        "alpha": rep.alpha,
+        "beta": rep.beta,
+        "lower": rep.lower,
+        "value": rep.value,
+        "upper": rep.upper,
+        "saturation_residual": rep.saturation_residual,
+    }
 
 
-def cmd_eof(args) -> int:
-    state = _load_bipartite(args.state)
-    payload = {"alpha": args.alpha, "eof_lower_bound": eof_lower_bound(state)}
-    if args.alpha == 1.0:
-        emit(payload, args.output)
-        return EXIT_OK
+@_command(ensemble_size={"type": int}, restarts={"type": int, "default": 4})
+def cmd_eof(state, ensemble_size, restarts, seed, alpha) -> dict:
+    """(Renyi) entanglement of formation."""
+    payload = {"alpha": alpha, "eof_lower_bound": eof_lower_bound(state)}
+    if alpha == 1.0:
+        return payload
     value, ensemble = reof_minimize(
         state,
-        args.alpha,
-        ensemble_size=args.ensemble_size,
-        restarts=args.restarts,
-        seed=args.seed,
+        alpha,
+        ensemble_size=ensemble_size,
+        restarts=restarts,
+        seed=seed,
     )
     payload["value"] = value
     payload["renyi_lower_bound"] = (
-        reof_lower_bound(state, args.alpha) if args.alpha > 1.0 else None
+        reof_lower_bound(state, alpha) if alpha > 1.0 else None
     )
     payload["ensemble_weights"] = [float(w) for w in ensemble.weights]
-    emit(payload, args.output)
-    return EXIT_OK
+    return payload
 
 
-def cmd_entanglement_fidelity(args) -> int:
-    rho, _ = _load_square(args.rho)
-    chan = _load_channel(args.channel)
-    rep = fe_equality_check(rho, chan)
-    emit(
-        {
-            "value": entanglement_fidelity(rho, chan),
-            "fidelity_squared": rep.fidelity_squared,
-            "bound_gap": rep.bound_gap,
-            "is_pure": rep.is_pure,
-        },
-        args.output,
-    )
-    return EXIT_OK
+@_command()
+def cmd_entanglement_fidelity(rho, channel) -> dict:
+    """Entanglement fidelity and its bound gap."""
+    rep = fe_equality_check(rho, channel)
+    return {
+        "value": entanglement_fidelity(rho, channel),
+        "fidelity_squared": rep.fidelity_squared,
+        "bound_gap": rep.bound_gap,
+        "is_pure": rep.is_pure,
+    }
 
 
-def cmd_suite(args) -> int:
-    kwargs = {"seed": args.seed, "tolerances": _tolerance_dict(args.tolerance)}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.dims is not None:
-        kwargs["dims"] = args.dims
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    report = run_suite(args.name, **kwargs)
-    emit(report.to_dict(), args.output)
-    return EXIT_OK if report.passed else EXIT_SUITE_FAILURE
+@_command(
+    name={"required": True},
+    trials={"type": int},
+    dims={"type": int},
+    alpha={"type": float},
+    tolerance={"action": "append", "metavar": "KEY=VAL", "type": _tolerance_pair},
+)
+def cmd_suite(name, seed, trials, dims, alpha, tolerance) -> dict:
+    """Run a named property suite."""
+    given = {"seed": seed, "trials": trials, "dims": dims, "alpha": alpha}
+    options = {k: v for k, v in given.items() if v is not None}
+    return run_suite(name, tolerances=dict(tolerance or ()), **options).to_dict()
 
 
-def cmd_violation_search(args) -> int:
-    res = dpi_violation_search(args.alpha, args.trials, args.seed)
-    emit(
-        {
-            "alpha": res.alpha,
-            "trials": res.trials,
-            "gap": res.gap,
-            "violation_found": res.gap < 0.0,
-            "rho": matrix_to_doc(res.rho_ab, kind="state", dims=(2, 2)),
-            "sigma": matrix_to_doc(res.sigma_ab, kind="state", dims=(2, 2)),
-        },
-        args.output,
-    )
-    return EXIT_OK
+@_command(alpha={"type": float, "default": 0.3}, trials={"type": int, "default": 20000})
+def cmd_violation_search(alpha, trials, seed) -> dict:
+    """Search for processing-inequality violations."""
+    res = dpi_violation_search(alpha, trials, seed)
+    return {
+        "alpha": res.alpha,
+        "trials": res.trials,
+        "gap": res.gap,
+        "violation_found": res.gap < 0.0,
+        "rho": matrix_to_doc(res.rho_ab, kind="state", dims=(2, 2)),
+        "sigma": matrix_to_doc(res.sigma_ab, kind="state", dims=(2, 2)),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,108 +386,31 @@ def build_parser() -> argparse.ArgumentParser:
         "equality diagnostics for small quantum systems.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, alpha=True, output=True):
-        if alpha:
-            p.add_argument("--alpha", type=float, default=2.0)
-        if output:
-            p.add_argument("--output", type=str, default=None)
-
-    p = sub.add_parser("divergence", help="evaluate a divergence on two operators")
-    p.add_argument("--kind", choices=["srd", "rre", "qre", "dmax"], required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma", required=True)
-    common(p)
-    p.set_defaults(func=cmd_divergence)
-
-    p = sub.add_parser("equality", help="equality certificate across a channel")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--channel", required=True)
-    common(p)
-    p.set_defaults(func=cmd_equality)
-
-    p = sub.add_parser("recover", help="build the recovery map anchored at sigma")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--state", default=None, help="optional state to push through")
-    common(p, alpha=False)
-    p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser("sufficiency", help="does the recovery map restore rho?")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--channel", required=True)
-    common(p, alpha=False)
-    p.set_defaults(func=cmd_sufficiency)
-
-    p = sub.add_parser(
-        "conditional-entropy", help="Renyi conditional entropy of a bipartite state"
-    )
-    p.add_argument("--state", required=True)
-    common(p)
-    p.set_defaults(func=cmd_conditional_entropy)
-
-    p = sub.add_parser("araki-lieb", help="conditional-entropy sandwich report")
-    p.add_argument("--state", required=True)
-    common(p)
-    p.set_defaults(func=cmd_araki_lieb)
-
-    p = sub.add_parser("eof", help="(Renyi) entanglement of formation")
-    p.add_argument("--state", required=True)
-    p.add_argument("--ensemble-size", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_eof)
-
-    p = sub.add_parser(
-        "entanglement-fidelity", help="entanglement fidelity and its bound gap"
-    )
-    p.add_argument("--rho", required=True)
-    p.add_argument("--channel", required=True)
-    common(p, alpha=False)
-    p.set_defaults(func=cmd_entanglement_fidelity)
-
-    p = sub.add_parser("suite", help="run a named property suite")
-    p.add_argument("--name", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--dims", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument(
-        "--tolerance", action="append", metavar="KEY=VAL", default=None
-    )
-    p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_suite)
-
-    p = sub.add_parser(
-        "violation-search", help="search for processing-inequality violations"
-    )
-    p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", type=str, default=None)
-    p.set_defaults(func=cmd_violation_search)
-
+    sub = parser.add_subparsers(required=True)
+    for func, own in _COMMANDS:
+        p = sub.add_parser(func.__name__[4:].replace("_", "-"), help=func.__doc__)
+        for key in inspect.signature(func).parameters:
+            spec = own[key] if key in own else _SHARED[key]
+            p.add_argument("--" + key.replace("_", "-"), **spec)
+        p.add_argument("--output", type=str, default=None)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (MatrixFileError, UnknownSuite) as exc:
+        # parsing loads the input files, so it raises MatrixFileError
+        args = vars(build_parser().parse_args(argv))
+        func, output = args.pop("func"), args.pop("output")
+        payload = func(**args)
+        emit(payload, output)
+    except (MatrixFileError, QRenyiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except QRenyiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        # an unknown suite is a bad argument, not a failed precondition
+        precond = isinstance(exc, QRenyiError) and not isinstance(exc, UnknownSuite)
+        return EXIT_PRECONDITION if precond else EXIT_PARSE_ERROR
+    # only a suite report carries a failure list
+    return EXIT_SUITE_FAILURE if payload.get("failures") else EXIT_OK
 
 
 if __name__ == "__main__":

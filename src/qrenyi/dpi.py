@@ -260,6 +260,8 @@ def dpi_violation_search(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("search defined for alpha in (0, 1)")
+    if trials < 1:
+        raise ValueError(f"search needs at least one trial, got {trials}")
     refine_steps = operator.index(refine_steps)
     best = (math.inf, None, None)
     for start in range(0, trials, _SEARCH_BATCH):

@@ -8,10 +8,11 @@ when its failure list is empty.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,60 +75,84 @@ class SuiteReport:
     summary: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
     tool_version: str = __version__
+    tolerances: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "failures": self.failures,
-            "summary": self.summary,
-            "wall_time_s": self.wall_time_s,
-            "tool_version": self.tool_version,
-        }
+        return asdict(self)
 
 
-def _finish(report: SuiteReport, t0: float) -> SuiteReport:
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+#: Runner of each suite by name, filled by ``_suite`` registrations.
+SUITES = {}
+#: Tolerance keys of each suite and their defaults, from the same
+#: registrations; ``--tolerance`` may set only these.
+TOLERANCES = {}
 
 
-#: Tolerance keys of each suite and their defaults; ``--tolerance`` may set
-#: only these.
-TOLERANCES = {
-    "dpi-holds": {"gap": 1e-9},
-    "equality-certificate": {
-        "eq_tol": EQ_TOL,
-        "gap_tol": CROSS_TOL,
-        "generic_gap": 1e-3,
-        "generic_residual": 1e-4,
-    },
-    "stinespring-agreement": {"agreement": 1e-9},
-    "variational-form": {"tol": 1e-9},
-    "petz-sufficiency": {"gap": 1e-8},
-    "fidelity-measurement": {"gap": 1e-6},
-    "duality": {"gap": 2e-6},
-    "araki-lieb": {"slack": 2e-6, "saturation": 1e-5},
-    "reof": {"saturating": 1e-4, "maximally_entangled": 1e-6, "product": 1e-8},
-    "entanglement-fidelity-purity": {"pure": 1e-10, "mixed": 1e-4},
-    "dpi-violation-below-half": {"violation": 1e-4, "control": 1e-9},
-    "classical-reduction": {"commuting": 1e-10, "continuity": 1e-3},
-}
+def _suite(name: str, **defaults):
+    """Register the decorated body as suite ``name`` with these tolerance
+    defaults.  The body takes ``(failures, tols, **options)``, appends to the
+    failure list and returns its summary; the runner registered in its place
+    checks the options and tolerances, times the body and builds the report."""
+    TOLERANCES[name] = defaults
+
+    def register(body):
+        @functools.wraps(body)
+        def runner(*, tolerances=None, **options):
+            options = _options(name, body, options)
+            tols = _tolerances(name, tolerances)
+            t0 = time.perf_counter()
+            # a suite without a trials option runs one trial
+            trials = options.get("trials", 1)
+            report = SuiteReport(name, options["seed"], trials, tolerances=tols)
+            report.summary = body(report.failures, tols, **options)
+            report.wall_time_s = time.perf_counter() - t0
+            return report
+
+        SUITES[name] = runner
+        return runner
+
+    return register
 
 
-def _tolerances(suite: str, given) -> dict:
-    """The suite's default tolerances with the caller's values merged in."""
-    unknown = sorted(set(given or ()) - set(TOLERANCES[suite]))
+def _options(name: str, body, given: dict) -> dict:
+    """The body's options with its defaults filled in; ValueError for an
+    option it does not take, for no trials or for fewer than two dimensions."""
+    try:
+        bound = inspect.signature(body).bind(None, None, **given)
+    except TypeError as exc:
+        raise ValueError(f"suite {name!r}: {exc}") from None
+    bound.apply_defaults()
+    options = dict(list(bound.arguments.items())[2:])
+    for key, least in (("trials", 1), ("dims", 2)):
+        if options.get(key, least) < least:
+            raise ValueError(
+                f"suite {name!r}: {key} must be at least {least}, got {options[key]}"
+            )
+    return options
+
+
+def _tolerances(name: str, given) -> dict:
+    """The suite's default tolerances with the caller's values merged in;
+    ValueError for an unknown key, or for a value that is not finite and
+    >= 0: every gate compares with ``>`` or ``<``, so a NaN or infinite
+    bound would switch it off."""
+    unknown = sorted(set(given or ()) - set(TOLERANCES[name]))
     if unknown:
         raise ValueError(
-            f"suite {suite!r} has no tolerance {', '.join(unknown)}; "
-            f"known: {', '.join(TOLERANCES[suite])}"
+            f"suite {name!r} has no tolerance {', '.join(unknown)}; "
+            f"known: {', '.join(TOLERANCES[name])}"
         )
-    return {**TOLERANCES[suite], **{k: float(v) for k, v in (given or {}).items()}}
+    given = {k: float(v) for k, v in (given or {}).items()}
+    bad = [f"{k}={v}" for k, v in given.items() if not math.isfinite(v) or v < 0.0]
+    if bad:
+        raise ValueError(
+            f"suite {name!r}: tolerance {', '.join(bad)} must be finite and >= 0"
+        )
+    return {**TOLERANCES[name], **given}
 
 
 def _random_triple(rng, dmax: int):
@@ -143,13 +168,11 @@ def _random_triple(rng, dmax: int):
     return rho, sigma, lam
 
 
+@_suite("dpi-holds", gap=1e-9)
 def run_dpi_holds(
-    seed: int = 1, trials: int = 500, dims: int = 6, tolerances=None
-) -> SuiteReport:
+    failures, tols, seed: int = 1, trials: int = 500, dims: int = 6
+) -> dict:
     """Gap non-negativity across the alpha grid on random triples."""
-    t0 = time.perf_counter()
-    gap_floor = -_tolerances("dpi-holds", tolerances)["gap"]
-    report = SuiteReport("dpi-holds", seed, trials)
     min_gap = math.inf
     for ai, alpha in enumerate(ALPHA_GRID):
         for t in range(trials):
@@ -158,12 +181,11 @@ def run_dpi_holds(
             rep = dpi_check(rho, sigma, lam, alpha)
             if not math.isnan(rep.gap):
                 min_gap = min(min_gap, rep.gap)
-            if math.isnan(rep.gap) or rep.gap < gap_floor:
-                report.failures.append(
+            if math.isnan(rep.gap) or rep.gap < -tols["gap"]:
+                failures.append(
                     {"alpha": alpha, "trial": t, "gap": rep.gap}
                 )
-    report.summary = {"min_gap": min_gap, "alphas": list(ALPHA_GRID)}
-    return _finish(report, t0)
+    return {"min_gap": min_gap, "alphas": list(ALPHA_GRID)}
 
 
 def _constructed_equality_instance(rng, kind: str):
@@ -184,13 +206,17 @@ def _constructed_equality_instance(rng, kind: str):
     return rho, sigma, lam
 
 
+@_suite(
+    "equality-certificate",
+    eq_tol=EQ_TOL,
+    gap_tol=CROSS_TOL,
+    generic_gap=1e-3,
+    generic_residual=1e-4,
+)
 def run_equality_certificate(
-    seed: int = 2, trials: int = 200, dims: int = 4, tolerances=None
-) -> SuiteReport:
+    failures, tols, seed: int = 2, trials: int = 200, dims: int = 4
+) -> dict:
     """Soundness and completeness of the operator equality certificate."""
-    t0 = time.perf_counter()
-    tol = _tolerances("equality-certificate", tolerances)
-    report = SuiteReport("equality-certificate", seed, trials)
     max_eq_residual = 0.0
     min_neq_residual = math.inf
     for t in range(trials):
@@ -198,11 +224,11 @@ def run_equality_certificate(
         alpha = ALPHA_GRID[t % len(ALPHA_GRID)]
         kind = "unitary" if t % 2 == 0 else "product-trace"
         rho, sigma, lam = _constructed_equality_instance(rng, kind)
-        cert = equality_residual(rho, sigma, lam, alpha, tol["eq_tol"])
+        cert = equality_residual(rho, sigma, lam, alpha, tols["eq_tol"])
         rep = dpi_check(rho, sigma, lam, alpha)
         max_eq_residual = max(max_eq_residual, cert.residual)
-        if cert.verdict != "equal" or abs(rep.gap) > tol["gap_tol"]:
-            report.failures.append(
+        if cert.verdict != "equal" or abs(rep.gap) > tols["gap_tol"]:
+            failures.append(
                 {
                     "case": "constructed",
                     "trial": t,
@@ -218,16 +244,16 @@ def run_equality_certificate(
             rng = substream(seed, 1, t, attempt)
             rho, sigma, lam = _random_triple(rng, dims)
             rep = dpi_check(rho, sigma, lam, alpha)
-            if rep.gap > tol["generic_gap"]:
+            if rep.gap > tols["generic_gap"]:
                 gap = rep.gap
-                cert = equality_residual(rho, sigma, lam, alpha, tol["eq_tol"])
+                cert = equality_residual(rho, sigma, lam, alpha, tols["eq_tol"])
                 break
         if cert is None:
-            report.failures.append({"case": "generic-sampling", "trial": t})
+            failures.append({"case": "generic-sampling", "trial": t})
             continue
         min_neq_residual = min(min_neq_residual, cert.residual)
-        if cert.residual <= tol["generic_residual"] or cert.verdict == "equal":
-            report.failures.append(
+        if cert.residual <= tols["generic_residual"] or cert.verdict == "equal":
+            failures.append(
                 {
                     "case": "generic",
                     "trial": t,
@@ -236,20 +262,17 @@ def run_equality_certificate(
                     "gap": gap,
                 }
             )
-    report.summary = {
+    return {
         "max_equality_residual": max_eq_residual,
         "min_generic_residual": min_neq_residual,
     }
-    return _finish(report, t0)
 
 
+@_suite("stinespring-agreement", agreement=1e-9)
 def run_stinespring_agreement(
-    seed: int = 3, trials: int = 100, dims: int = 3, tolerances=None
-) -> SuiteReport:
+    failures, tols, seed: int = 3, trials: int = 100, dims: int = 3
+) -> dict:
     """Kraus-adjoint and dilation routes produce the same certificate."""
-    t0 = time.perf_counter()
-    tol = _tolerances("stinespring-agreement", tolerances)["agreement"]
-    report = SuiteReport("stinespring-agreement", seed, trials)
     worst = 0.0
     for t in range(trials):
         rng = substream(seed, t)
@@ -262,20 +285,17 @@ def run_stinespring_agreement(
             max_abs(c_kraus.rhs_operator - c_dil.rhs_operator),
         )
         worst = max(worst, diff)
-        if diff > tol:
-            report.failures.append({"trial": t, "alpha": alpha, "diff": diff})
-    report.summary = {"max_route_difference": worst}
-    return _finish(report, t0)
+        if diff > tols["agreement"]:
+            failures.append({"trial": t, "alpha": alpha, "diff": diff})
+    return {"max_route_difference": worst}
 
 
+@_suite("variational-form", tol=1e-9)
 def run_variational_form(
-    seed: int = 4, trials: int = 20, dims: int = 3, tolerances=None
-) -> SuiteReport:
+    failures, tols, seed: int = 4, trials: int = 20, dims: int = 3
+) -> dict:
     """The critical observable attains the trace functional and no random
     candidate beats it (sup for alpha > 1, inf below 1)."""
-    t0 = time.perf_counter()
-    tol = _tolerances("variational-form", tolerances)["tol"]
-    report = SuiteReport("variational-form", seed, trials)
     worst_attain = 0.0
     worst_beat = 0.0
     for alpha in (0.75, 2.0):
@@ -287,8 +307,8 @@ def run_variational_form(
             q = q_tilde(rho, sigma, alpha)
             attain = abs(f_alpha(h_hat(rho, sigma, alpha), rho, sigma, alpha) - q)
             worst_attain = max(worst_attain, attain)
-            if attain > tol:
-                report.failures.append(
+            if attain > tols["tol"]:
+                failures.append(
                     {"case": "attainment", "alpha": alpha, "trial": t, "err": attain}
                 )
             for k in range(10):
@@ -297,8 +317,8 @@ def run_variational_form(
                 f = f_alpha(h, rho, sigma, alpha)
                 beat = (f - q) if alpha > 1.0 else (q - f)
                 worst_beat = max(worst_beat, beat)
-                if beat > tol:
-                    report.failures.append(
+                if beat > tols["tol"]:
+                    failures.append(
                         {
                             "case": "optimality",
                             "alpha": alpha,
@@ -307,18 +327,15 @@ def run_variational_form(
                             "excess": beat,
                         }
                     )
-    report.summary = {"worst_attainment": worst_attain, "worst_excess": worst_beat}
-    return _finish(report, t0)
+    return {"worst_attainment": worst_attain, "worst_excess": worst_beat}
 
 
+@_suite("petz-sufficiency", gap=1e-8)
 def run_petz_sufficiency(
-    seed: int = 5, trials: int = 200, dims: int = 4, tolerances=None
-) -> SuiteReport:
+    failures, tols, seed: int = 5, trials: int = 200, dims: int = 4
+) -> dict:
     """Recovery-map sufficiency matches the order-2 equality certificate,
     and sufficient instances have zero gap at every tested alpha > 1."""
-    t0 = time.perf_counter()
-    gap_tol = _tolerances("petz-sufficiency", tolerances)["gap"]
-    report = SuiteReport("petz-sufficiency", seed, trials)
     n_true = 0
     for t in range(trials):
         rng = substream(seed, t)
@@ -330,7 +347,7 @@ def run_petz_sufficiency(
         suff = sufficiency_test(rho, sigma, lam)
         cert = equality_residual(rho, sigma, lam, 2.0)
         if suff != (cert.verdict == "equal"):
-            report.failures.append(
+            failures.append(
                 {
                     "case": "verdict-mismatch",
                     "trial": t,
@@ -342,8 +359,8 @@ def run_petz_sufficiency(
             n_true += 1
             for alpha in (1.5, 2.0, 3.0):
                 rep = dpi_check(rho, sigma, lam, alpha)
-                if abs(rep.gap) > gap_tol:
-                    report.failures.append(
+                if abs(rep.gap) > tols["gap"]:
+                    failures.append(
                         {
                             "case": "gap-after-sufficiency",
                             "trial": t,
@@ -351,16 +368,13 @@ def run_petz_sufficiency(
                             "gap": rep.gap,
                         }
                     )
-    report.summary = {"sufficient_instances": n_true}
-    return _finish(report, t0)
+    return {"sufficient_instances": n_true}
 
 
-def run_fidelity_measurement(seed: int = 6, tolerances=None) -> SuiteReport:
+@_suite("fidelity-measurement", gap=1e-6)
+def run_fidelity_measurement(failures, tols, seed: int = 6) -> dict:
     """A fidelity-attaining qubit measurement nulls the order-1/2 gap while
     the recovery map fails: equality without sufficiency."""
-    t0 = time.perf_counter()
-    gap_tol = _tolerances("fidelity-measurement", tolerances)["gap"]
-    report = SuiteReport("fidelity-measurement", seed, 1)
     rng = substream(seed, 0)
     rho = random_density(2, 2, rng)
     sigma = random_density(2, 2, rng)
@@ -371,26 +385,23 @@ def run_fidelity_measurement(seed: int = 6, tolerances=None) -> SuiteReport:
     rep = dpi_check(rho, sigma, chan, 0.5)
     suff = sufficiency_test(rho, sigma, chan)
     if comm < 1e-3:
-        report.failures.append({"case": "pair-commutes", "comm": comm})
-    if abs(rep.gap) > gap_tol:
-        report.failures.append({"case": "gap", "gap": rep.gap})
+        failures.append({"case": "pair-commutes", "comm": comm})
+    if abs(rep.gap) > tols["gap"]:
+        failures.append({"case": "gap", "gap": rep.gap})
     if suff:
-        report.failures.append({"case": "unexpected-sufficiency"})
-    report.summary = {
+        failures.append({"case": "unexpected-sufficiency"})
+    return {
         "gap_at_half": rep.gap,
         "fidelity": f_q,
         "classical_fidelity": f_cl,
         "commutator_norm": comm,
         "sufficient": suff,
     }
-    return _finish(report, t0)
 
 
-def run_duality(seed: int = 7, trials: int = 50, tolerances=None) -> SuiteReport:
+@_suite("duality", gap=2e-6)
+def run_duality(failures, tols, seed: int = 7, trials: int = 50) -> dict:
     """Conditional-entropy duality across a purification at dual orders."""
-    t0 = time.perf_counter()
-    tol = _tolerances("duality", tolerances)["gap"]
-    report = SuiteReport("duality", seed, trials)
     worst = 0.0
     for pi, alpha in enumerate((2.0, 3.0, 0.75)):
         for t in range(trials):
@@ -399,10 +410,9 @@ def run_duality(seed: int = 7, trials: int = 50, tolerances=None) -> SuiteReport
             state = BipartiteState(rho, 2, 2)
             gap = duality_gap(state, alpha)
             worst = max(worst, gap)
-            if gap > tol:
-                report.failures.append({"alpha": alpha, "trial": t, "gap": gap})
-    report.summary = {"max_duality_gap": worst}
-    return _finish(report, t0)
+            if gap > tols["gap"]:
+                failures.append({"alpha": alpha, "trial": t, "gap": gap})
+    return {"max_duality_gap": worst}
 
 
 def _random_saturating_spec(rng) -> SaturatingSpec:
@@ -413,12 +423,10 @@ def _random_saturating_spec(rng) -> SaturatingSpec:
     return SaturatingSpec(2, 2, lam, mu)
 
 
-def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteReport:
+@_suite("araki-lieb", slack=2e-6, saturation=1e-5)
+def run_araki_lieb(failures, tols, seed: int = 8, trials: int = 300) -> dict:
     """Conditional-entropy sandwich on random states plus exact saturation
     of the constructed states at the dual pair (2, 2/3)."""
-    t0 = time.perf_counter()
-    tol = _tolerances("araki-lieb", tolerances)
-    report = SuiteReport("araki-lieb", seed, trials)
     worst_slack = 0.0
     for t in range(trials):
         rng = substream(seed, 0, t)
@@ -430,8 +438,8 @@ def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteRe
         rep = araki_lieb_renyi(state, alpha)
         violation = max(rep.lower - rep.value, rep.value - rep.upper)
         worst_slack = max(worst_slack, violation)
-        if violation > tol["slack"]:
-            report.failures.append(
+        if violation > tols["slack"]:
+            failures.append(
                 {"case": "sandwich", "trial": t, "alpha": alpha, "violation": violation}
             )
     worst_sat = 0.0
@@ -442,17 +450,14 @@ def run_araki_lieb(seed: int = 8, trials: int = 300, tolerances=None) -> SuiteRe
         s_alpha = renyi_entropy(state.marginal_a(), 2.0)
         sat = abs(value + s_alpha)
         worst_sat = max(worst_sat, sat)
-        if sat > tol["saturation"]:
-            report.failures.append({"case": "saturation", "trial": t, "residual": sat})
-    report.summary = {"worst_sandwich_violation": worst_slack, "worst_saturation": worst_sat}
-    return _finish(report, t0)
+        if sat > tols["saturation"]:
+            failures.append({"case": "saturation", "trial": t, "residual": sat})
+    return {"worst_sandwich_violation": worst_slack, "worst_saturation": worst_sat}
 
 
-def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
+@_suite("reof", saturating=1e-4, maximally_entangled=1e-6, product=1e-8)
+def run_reof(failures, tols, seed: int = 9, trials: int = 4) -> dict:
     """Formation-entropy minimizer against its analytic targets."""
-    t0 = time.perf_counter()
-    tol = _tolerances("reof", tolerances)
-    report = SuiteReport("reof", seed, trials)
     worst_sat = 0.0
     for t in range(trials):
         rng = substream(seed, 0, t)
@@ -461,24 +466,24 @@ def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
         target, _ = conditional_renyi(state, 2.0 / 3.0)
         err = abs(value - (-target))
         worst_sat = max(worst_sat, err)
-        if err > tol["saturating"]:
-            report.failures.append({"case": "saturating", "trial": t, "err": err})
+        if err > tols["saturating"]:
+            failures.append({"case": "saturating", "trial": t, "err": err})
         recon = max_abs(ensemble.reconstruct() - state.mat)
         if recon > 1e-9:
-            report.failures.append(
+            failures.append(
                 {"case": "ensemble-reconstruction", "trial": t, "err": recon}
             )
         lower = reof_lower_bound(state, 2.0)
         if value < lower - 1e-6:
-            report.failures.append(
+            failures.append(
                 {"case": "below-lower-bound", "trial": t, "value": value, "lower": lower}
             )
     phi = np.zeros(4, dtype=np.complex128)
     phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
     me_state = BipartiteState(projector(phi), 2, 2)
     me_val, _ = reof_minimize(me_state, 2.0, restarts=1, seed=seed)
-    if abs(me_val - 1.0) > tol["maximally_entangled"]:
-        report.failures.append({"case": "maximally-entangled", "value": me_val})
+    if abs(me_val - 1.0) > tols["maximally_entangled"]:
+        failures.append({"case": "maximally-entangled", "value": me_val})
     worst_prod = 0.0
     for t in range(trials):
         rng = substream(seed, 1, t)
@@ -487,23 +492,20 @@ def run_reof(seed: int = 9, trials: int = 4, tolerances=None) -> SuiteReport:
             BipartiteState(prod, 2, 2), 2.0, ensemble_size=8, restarts=1, seed=seed + t
         )
         worst_prod = max(worst_prod, abs(val))
-        if abs(val) > tol["product"]:
-            report.failures.append({"case": "product", "trial": t, "value": val})
-    report.summary = {
+        if abs(val) > tols["product"]:
+            failures.append({"case": "product", "trial": t, "value": val})
+    return {
         "worst_saturating_error": worst_sat,
         "maximally_entangled_value": me_val,
         "worst_product_value": worst_prod,
     }
-    return _finish(report, t0)
 
 
+@_suite("entanglement-fidelity-purity", pure=1e-10, mixed=1e-4)
 def run_entanglement_fidelity_purity(
-    seed: int = 10, trials: int = 100, dims: int = 3, tolerances=None
-) -> SuiteReport:
+    failures, tols, seed: int = 10, trials: int = 100, dims: int = 3
+) -> dict:
     """The fidelity-squared bound is tight exactly on pure inputs."""
-    t0 = time.perf_counter()
-    tol = _tolerances("entanglement-fidelity-purity", tolerances)
-    report = SuiteReport("entanglement-fidelity-purity", seed, trials)
     worst_pure = 0.0
     for t in range(trials):
         rng = substream(seed, 0, t)
@@ -512,8 +514,8 @@ def run_entanglement_fidelity_purity(
         lam = random_channel(d, d, int(rng.integers(1, 4)), rng)
         rep = fe_equality_check(projector(psi), lam)
         worst_pure = max(worst_pure, abs(rep.bound_gap))
-        if abs(rep.bound_gap) > tol["pure"] or not rep.is_pure:
-            report.failures.append(
+        if abs(rep.bound_gap) > tols["pure"] or not rep.is_pure:
+            failures.append(
                 {"case": "pure", "trial": t, "gap": rep.bound_gap}
             )
     min_mixed = math.inf
@@ -524,42 +526,36 @@ def run_entanglement_fidelity_purity(
         lam = random_channel(d, d, int(rng.integers(1, 4)), rng)
         rep = fe_equality_check(rho, lam)
         min_mixed = min(min_mixed, rep.bound_gap)
-        if rep.bound_gap <= tol["mixed"] or rep.is_pure:
-            report.failures.append(
+        if rep.bound_gap <= tols["mixed"] or rep.is_pure:
+            failures.append(
                 {"case": "mixed", "trial": t, "gap": rep.bound_gap}
             )
-    report.summary = {"worst_pure_gap": worst_pure, "min_mixed_gap": min_mixed}
-    return _finish(report, t0)
+    return {"worst_pure_gap": worst_pure, "min_mixed_gap": min_mixed}
 
 
+@_suite("dpi-violation-below-half", violation=1e-4, control=1e-9)
 def run_violation_search(
-    seed: int = 11, trials: int = 20000, tolerances=None, alpha: float = 0.3
-) -> SuiteReport:
+    failures, tols, seed: int = 11, trials: int = 20000, alpha: float = 0.3
+) -> dict:
     """Processing-inequality violation hunt below 1/2 with its 1/2 control."""
-    t0 = time.perf_counter()
-    tol = _tolerances("dpi-violation-below-half", tolerances)
-    report = SuiteReport("dpi-violation-below-half", seed, trials)
     found = dpi_violation_search(alpha, trials, seed)
-    if found.gap >= -tol["violation"]:
-        report.failures.append({"case": "no-violation", "alpha": alpha, "gap": found.gap})
+    if found.gap >= -tols["violation"]:
+        failures.append({"case": "no-violation", "alpha": alpha, "gap": found.gap})
     control = dpi_violation_search(0.5, trials, seed)
-    if control.gap < -tol["control"]:
-        report.failures.append({"case": "control", "alpha": 0.5, "gap": control.gap})
-    report.summary = {
+    if control.gap < -tols["control"]:
+        failures.append({"case": "control", "alpha": 0.5, "gap": control.gap})
+    return {
         "violation_gap": found.gap,
         "violation_alpha": alpha,
         "control_gap": control.gap,
     }
-    return _finish(report, t0)
 
 
+@_suite("classical-reduction", commuting=1e-10, continuity=1e-3)
 def run_classical_reduction(
-    seed: int = 12, trials: int = 100, dims: int = 4, tolerances=None
-) -> SuiteReport:
+    failures, tols, seed: int = 12, trials: int = 100, dims: int = 4
+) -> dict:
     """Commuting inputs reduce to scalar formulas; alpha -> 1 continuity."""
-    t0 = time.perf_counter()
-    tol = _tolerances("classical-reduction", tolerances)
-    report = SuiteReport("classical-reduction", seed, trials)
     worst_comm = 0.0
     for t in range(trials):
         rng = substream(seed, 0, t)
@@ -574,15 +570,15 @@ def run_classical_reduction(
                 got = route(rho, sig, alpha).value
                 err = abs(got - oracle)
                 worst_comm = max(worst_comm, err)
-                if err > tol["commuting"]:
-                    report.failures.append(
+                if err > tols["commuting"]:
+                    failures.append(
                         {"case": "commuting", "trial": t, "alpha": alpha, "err": err}
                     )
         kl_oracle = float(np.sum(p * np.log2(p / q)))
         err = abs(qre(rho, sig).value - kl_oracle)
         worst_comm = max(worst_comm, err)
-        if err > tol["commuting"]:
-            report.failures.append({"case": "commuting-qre", "trial": t, "err": err})
+        if err > tols["commuting"]:
+            failures.append({"case": "commuting-qre", "trial": t, "err": err})
     worst_cont = 0.0
     for t in range(trials):
         rng = substream(seed, 1, t)
@@ -596,31 +592,14 @@ def run_classical_reduction(
         for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
             err = abs(srd(rho, sig, alpha).value - base)
             worst_cont = max(worst_cont, err)
-            if err > tol["continuity"]:
-                report.failures.append(
+            if err > tols["continuity"]:
+                failures.append(
                     {"case": "continuity", "trial": t, "alpha": alpha, "err": err}
                 )
-    report.summary = {
+    return {
         "worst_commuting_error": worst_comm,
         "worst_continuity_error": worst_cont,
     }
-    return _finish(report, t0)
-
-
-SUITES = {
-    "dpi-holds": run_dpi_holds,
-    "equality-certificate": run_equality_certificate,
-    "stinespring-agreement": run_stinespring_agreement,
-    "variational-form": run_variational_form,
-    "petz-sufficiency": run_petz_sufficiency,
-    "fidelity-measurement": run_fidelity_measurement,
-    "duality": run_duality,
-    "araki-lieb": run_araki_lieb,
-    "reof": run_reof,
-    "entanglement-fidelity-purity": run_entanglement_fidelity_purity,
-    "dpi-violation-below-half": run_violation_search,
-    "classical-reduction": run_classical_reduction,
-}
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:
@@ -629,9 +608,4 @@ def run_suite(name: str, **kwargs) -> SuiteReport:
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
         )
-    runner = SUITES[name]
-    try:
-        inspect.signature(runner).bind(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"suite {name!r}: {exc}") from None
-    return runner(**kwargs)
+    return SUITES[name](**kwargs)

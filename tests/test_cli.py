@@ -16,6 +16,7 @@ from qrenyi.cli import (
 )
 from qrenyi.linalg import max_abs
 from qrenyi.states import maximally_mixed, random_density, random_unitary
+from qrenyi.suites import SUITES, TOLERANCES
 
 
 @pytest.fixture
@@ -258,15 +259,51 @@ class TestSuiteCommand:
         assert "unexpected keyword argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "tolerance, expected",
-        [("gapp=1e-30", EXIT_PARSE_ERROR), ("gap=1e-30", EXIT_SUITE_FAILURE)],
-        ids=["misspelled", "known"],
+        "tolerance, expected, error",
+        [
+            ("gapp=1e-30", EXIT_PARSE_ERROR, "no tolerance gapp"),
+            ("gap=1e-30", EXIT_SUITE_FAILURE, None),
+            # every gate compares with > or <, so these would switch it off
+            ("gap=nan", EXIT_PARSE_ERROR, "gap=nan must be finite and >= 0"),
+            ("gap=inf", EXIT_PARSE_ERROR, "gap=inf must be finite and >= 0"),
+            ("gap=-1e-3", EXIT_PARSE_ERROR, "gap=-0.001 must be finite and >= 0"),
+        ],
+        ids=["misspelled", "known", "nan", "inf", "negative"],
     )
-    def test_tolerance_keys(self, capsys, tolerance, expected):
+    def test_tolerance_keys(self, capsys, tolerance, expected, error):
         argv = ["suite", "--name", "duality", "--trials", "1", "--tolerance", tolerance]
         assert main(argv) == expected
         if expected == EXIT_PARSE_ERROR:
-            assert "no tolerance gapp" in capsys.readouterr().err
+            assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, extra, error",
+        [
+            ("duality", ["--trials", "0"], "trials must be at least 1, got 0"),
+            ("duality", ["--trials", "-3"], "trials must be at least 1, got -3"),
+            ("dpi-holds", ["--trials", "1", "--dims", "1"], "dims must be at least 2"),
+        ],
+        ids=["no-trials", "negative-trials", "one-dimension"],
+    )
+    def test_rejects_empty_runs(self, capsys, name, extra, error):
+        code = main(["suite", "--name", name, *extra])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE_ERROR and captured.out == ""
+        assert error in captured.err
+
+    def test_report_echoes_its_tolerances(self, capsys):
+        code, out = _run(
+            capsys,
+            ["suite", "--name", "araki-lieb", "--trials", "2", "--tolerance", "slack=0.25"],
+        )
+        assert code == EXIT_OK
+        assert out["tolerances"] == {"slack": 0.25, "saturation": 1e-5}
+
+    def test_registrations_fill_both_tables(self):
+        assert list(SUITES) == list(TOLERANCES) and len(SUITES) == 12
+        assert SUITES["duality"](trials=1).tolerances == TOLERANCES["duality"]
+        with pytest.raises(ValueError, match="unexpected keyword argument 'dims'"):
+            SUITES["duality"](trials=1, dims=3)
 
     def test_alpha_reaches_the_violation_suite(self, capsys):
         code, out = _run(
@@ -337,6 +374,25 @@ class TestExitCodes:
         )
         capsys.readouterr()
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_violation_search_without_trials(self, capsys, trials):
+        code = main(["violation-search", "--trials", trials])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err == f"error: search needs at least one trial, got {trials}\n"
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(matrix_to_doc(random_density(2, 2, 5), "state")))
+        target = tmp_path / "no" / "such" / "x.json"
+        code = main(
+            ["divergence", "--kind", "srd", "--rho", str(rho), "--sigma", str(rho),
+             "--output", str(target)]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
 
     def test_precision_loss(self, capsys):
         # valid arguments whose refined pair's trace functional underflows

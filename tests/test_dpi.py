@@ -385,6 +385,19 @@ class TestViolationSearch:
         with pytest.raises(TypeError):
             dpi_violation_search(0.3, trials=10, seed=0, refine_steps=2.5)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            dpi_violation_search(0.3, trials=trials, seed=0)
+
+    def test_no_finite_gap_is_a_runtime_error(self, monkeypatch):
+        def no_finite_gap(rho, sig, alpha):
+            return np.full(len(rho), np.inf)
+
+        monkeypatch.setattr("qrenyi.dpi._two_qubit_gap", no_finite_gap)
+        with pytest.raises(RuntimeError, match="no finite gap"):
+            dpi_violation_search(0.3, trials=10, seed=0)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
     def test_batched_gaps_equal_per_pair_gaps(self, monkeypatch, alpha):
         # two stacks, the second one partial: every sampled gap must equal
