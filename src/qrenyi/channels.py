@@ -220,6 +220,8 @@ def completely_dephasing(d: int) -> QuantumChannel:
 
 
 def amplitude_damping(gamma: float) -> QuantumChannel:
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"need 0 <= gamma <= 1, got gamma={gamma}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
     return QuantumChannel([k0, k1])

@@ -57,6 +57,8 @@ class MatrixFileError(Exception):
 
 
 def _matrix_from_parts(re, im, dim_rows, dim_cols):
+    if min(dim_rows, dim_cols) < 1:
+        raise MatrixFileError(f"dimensions must be >= 1, got {dim_rows}x{dim_cols}")
     re_arr = np.asarray(re, dtype=float).reshape(-1)
     im_arr = np.asarray(im, dtype=float).reshape(-1)
     if re_arr.size != dim_rows * dim_cols or im_arr.size != dim_rows * dim_cols:
@@ -117,6 +119,8 @@ def parse_matrix_doc(doc: dict):
             da, db = int(doc["dimA"]), int(doc["dimB"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MatrixFileError("dimA/dimB must both be present") from exc
+        if min(da, db) < 1:
+            raise MatrixFileError(f"dimA and dimB must be >= 1, got {da} and {db}")
         d = da * db
         dims = (da, db)
     else:

@@ -93,9 +93,10 @@ def classify_supports(rho: np.ndarray, sigma: np.ndarray) -> str:
 
 
 def _classified_spectra(rho, sigma):
-    """``(spectrum of rho, spectrum of sigma, support case)``, both spectra
-    checked positive, so callers need not decompose rho or sigma again.
-    On stacks ``(..., d, d)`` of pairs the case is an array of cases."""
+    """``(spectrum of rho, spectrum of sigma, support case, overlaps)``, both
+    spectra checked positive, so callers need not decompose rho or sigma
+    again; the overlaps ``c_ij = |<v_i|w_j>|^2`` of their eigenvectors are 0
+    off the two supports.  On stacks of pairs the case is an array."""
     spec_rho = positive_spectrum(rho)
     spec_sig = positive_spectrum(sigma)
     keep_rho, keep_sig = spec_rho.support_mask(), spec_sig.support_mask()
@@ -106,7 +107,7 @@ def _classified_spectra(rho, sigma):
     leak = keep_rho.sum(axis=-1) - overlap
     code = (leak > SUPPORT_CLASSIFY_TOL) * (1 + (overlap <= SUPPORT_CLASSIFY_TOL))
     case = _CASES[code]
-    return spec_rho, spec_sig, case if case.ndim else str(case)
+    return spec_rho, spec_sig, case if case.ndim else str(case), cross * supports
 
 
 def _sandwich(sigma_spec: Spectrum, p: float, m: np.ndarray):
@@ -140,49 +141,39 @@ def _require_defined(alpha: float, case: str) -> None:
 _LOG2 = np.frompyfunc(math.log2, 1, 1)
 
 
-def _log2(x) -> np.ndarray:
-    """``math.log2`` elementwise.  numpy's vectorized log2 differs from the
-    C library's in the last bit on some inputs; this keeps the stacked
-    evaluation bit-identical to one pair at a time."""
-    return np.asarray(_LOG2(x), dtype=float)
+def _log2(x):
+    """``math.log2`` elementwise, a float for a 0-d ``x``.  numpy's vectorized
+    log2 differs from the C library's in the last bit on some inputs; this
+    keeps the stacked evaluation bit-identical to one pair at a time."""
+    return math.log2(x) if x.ndim == 0 else np.asarray(_LOG2(x), dtype=float)
 
 
-def _factored_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
-    """``(top, ratio, rest)`` with ``lam**alpha = top**alpha * ratio`` on
-    the kept ``lam`` along the last axis (ascending, positive where kept,
-    at least one kept per row), ``ratio`` 0 elsewhere, and ``rest`` the
-    sum of ``ratio``.  ``top`` is the dominant kept eigenvalue (the largest
-    for alpha > 0, the smallest for alpha < 0), so ``0 <= ratio <= 1`` and
-    ``1 <= rest <= lam.shape[-1]``: ``lam**alpha`` itself overflows or
-    underflows at large ``|alpha|``."""
+def _require_support(keep: np.ndarray, alpha: float) -> None:
+    """Raise PrecisionLoss where a row of an ascending support mask keeps nothing."""
+    if not keep[..., -1].all():
+        raise PrecisionLoss(f"trace functional underflows to 0 at alpha = {alpha}")
+
+
+def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
+    """``(log2 sum(lam**alpha), ratio, rest)`` over the kept ``lam`` along
+    the last axis (ascending, positive where kept), finite at any order: the
+    sum is factored by the dominant kept ``top`` (the largest for alpha > 0,
+    the smallest for alpha < 0), ``ratio = (lam / top)**alpha`` where kept
+    and 0 elsewhere, and ``rest = sum(ratio)`` lies in ``[1, lam.shape[-1]]``.
+    Raises PrecisionLoss where a row keeps nothing."""
+    _require_support(keep, alpha)
     if alpha > 0:
         top = lam[..., -1]
     else:
         top = np.minimum.reduce(lam, axis=-1, where=keep, initial=math.inf)
     ratio = np.power(lam / top[..., None], alpha, out=np.zeros_like(lam), where=keep)
-    return top, ratio, np.add.reduce(ratio, axis=-1, where=keep)
+    rest = np.add.reduce(ratio, axis=-1, where=keep)
+    return alpha * _log2(top) + _log2(rest), ratio, rest
 
 
-def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
-    """``log2 sum(lam**alpha)`` over the kept ``lam`` along the last axis,
-    finite at any order."""
-    if not keep.any(axis=-1).all():
-        raise PrecisionLoss(f"trace functional underflows to 0 at alpha = {alpha}")
-    top, _, rest = _factored_power(lam, alpha, keep)
-    return alpha * _log2(top) + _log2(rest)
-
-
-def _trace_power(spec: Spectrum, alpha: float) -> float:
-    """``sum(lam**alpha)`` over the supported eigenvalues: ``math.inf`` when
-    it exceeds the float range, and 0 for an empty support."""
-    keep = spec.support_mask()
-    if not keep.any():
-        return 0.0
-    top, _, rest = _factored_power(spec.eigenvalues, alpha, keep)
-    try:
-        return math.pow(top, alpha) * float(rest)
-    except OverflowError:
-        return math.inf
+def _exp2(x) -> float:
+    """``2**x``, and ``math.inf`` from ``x = 1024`` on, out of the float range."""
+    return math.pow(2.0, x) if x < 1024.0 else math.inf
 
 
 def q_tilde(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
@@ -190,13 +181,15 @@ def q_tilde(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
 
     Powers are taken on supports.  Returns ``math.inf`` when the functional
     exceeds the float range (large alpha).  Raises SupportViolation when
-    alpha > 1 and supp(rho) is not inside supp(sigma); raises
-    DisjointSupports when alpha < 1 and the supports are orthogonal.
+    alpha > 1 and supp(rho) is not inside supp(sigma), DisjointSupports when
+    alpha < 1 and the supports are orthogonal, and PrecisionLoss where
+    :func:`srd` does.
     """
     order = RenyiOrder(alpha)
-    _, spec_sig, case = _classified_spectra(rho, sigma)
+    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
-    return _trace_power(_sandwich(spec_sig, order.gamma, rho)[1], alpha)
+    x = _sandwich(spec_sig, order.gamma, rho)[1]
+    return _exp2(_log2_trace_power(x.eigenvalues, alpha, x.support_mask())[0])
 
 
 def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
@@ -219,50 +212,54 @@ def _srd_values(rho: np.ndarray, sigma: np.ndarray, alpha: float):
     stacks ``(..., d, d)`` of pairs; ``inf`` where the case leaves the
     functional undefined."""
     order = RenyiOrder(alpha)
-    _, spec_sig, case = _classified_spectra(rho, sigma)
+    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     undefined = _undefined(alpha, case)[..., None]
     x = _sandwich(spec_sig, order.gamma, rho)[1]
     # undefined pairs get a unit spectrum, so only defined ones can raise
     lam = np.where(undefined, 1.0, x.eigenvalues)
-    log_q = _log2_trace_power(lam, alpha, x.support_mask() | undefined)
+    log_q = _log2_trace_power(lam, alpha, x.support_mask() | undefined)[0]
     tr_rho = rho.trace(axis1=-2, axis2=-1).real
     value = (log_q - _log2(tr_rho)) / (alpha - 1.0)
     return np.where(undefined[..., 0], math.inf, value), case
 
 
 def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
-    """Relative Renyi entropy ``log tr(rho^a sigma^(1-a)) / (a-1)``."""
+    """Relative Renyi entropy ``log tr(rho^a sigma^(1-a)) / (a-1)``, the trace
+    ``sum lam_i^a mu_j^(1-a) c_ij`` over the overlaps of the two spectra
+    summed in the log domain, so no power of lam or mu leaves the range."""
     if alpha == 1.0:
         return qre(rho, sigma)
     RenyiOrder(alpha)
-    spec_rho, spec_sig, case = _classified_spectra(rho, sigma)
+    spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
     if _undefined(alpha, case):
         return DivergenceValue(math.inf, case)
-    ra = spec_rho.on_support(lambda lam: lam**alpha)
-    sb = spec_sig.on_support(lambda lam: lam ** (1.0 - alpha))
-    q = float(np.trace(ra @ sb).real)
+    _require_support(spec_rho.support_mask(), alpha)
+    i, j = np.nonzero(c)
+    lam, mu = spec_rho.eigenvalues[i], spec_sig.eigenvalues[j]
+    logs = alpha * np.log2(lam) + (1.0 - alpha) * np.log2(mu) + np.log2(c[i, j])
+    log_q = float(np.logaddexp2.reduce(logs))
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
-    value = math.log2(q / tr_rho) / (alpha - 1.0)
-    return DivergenceValue(value, case)
+    return DivergenceValue((log_q - math.log2(tr_rho)) / (alpha - 1.0), case)
 
 
 def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
-    """Relative entropy ``tr(rho (log rho - log sigma))`` in bits."""
-    spec_rho, spec_sig, case = _classified_spectra(rho, sigma)
+    """Relative entropy ``tr(rho (log rho - log sigma))`` in bits, as
+    ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two spectra."""
+    spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
-    lam, _ = spec_rho.supported()
-    tr_rho = float(np.sum(lam))
-    ent = float(np.sum(lam * np.log2(lam)))
-    log_sigma = spec_sig.on_support(np.log2)
-    cross = float(np.trace(as_complex_matrix(rho) @ log_sigma).real)
+    lam, mu = spec_rho.eigenvalues, spec_sig.eigenvalues
+    keep = spec_rho.support_mask()
+    log_mu = np.log2(mu, out=np.zeros_like(mu), where=spec_sig.support_mask())
+    cross = float(np.sum(lam[:, None] * c * log_mu))
+    ent = -float(_spectrum_entropy(lam, 1.0, keep))
     # normalized as for a unit-trace rho; the factor is 1 for states
-    return DivergenceValue((ent - cross) / tr_rho, case)
+    return DivergenceValue((ent - cross) / float(np.sum(lam[keep])), case)
 
 
 def d_max(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     """Max-relative entropy ``log lambda_max(sigma^-1/2 rho sigma^-1/2)``."""
-    _, spec_sig, case = _classified_spectra(rho, sigma)
+    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
     lam_max = float(np.max(_sandwich(spec_sig, -0.5, rho)[1].eigenvalues))
@@ -292,19 +289,21 @@ def f_alpha(h: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float) -> 
     Its optimum over H >= 0 (sup for alpha > 1, inf for alpha in [1/2, 1))
     is the trace functional, attained at :func:`h_hat`.  When the power sum
     exceeds the float range (alpha near 1) the value is ``-inf`` for
-    alpha > 1 and ``+inf`` for alpha < 1.
+    alpha > 1 and ``+inf`` for alpha < 1; it is 0 for an H off supp(sigma).
     """
     order = RenyiOrder(alpha)
     _, y = _sandwich(positive_spectrum(sigma), -order.gamma, as_complex_matrix(h))
-    term = _trace_power(y, alpha / (alpha - 1.0))
+    keep = y.support_mask()
+    p = alpha / (alpha - 1.0)
+    term = _exp2(_log2_trace_power(y.eigenvalues, p, keep)[0]) if keep.any() else 0.0
     lead = float(np.trace(as_complex_matrix(rho) @ as_complex_matrix(h)).real)
     return alpha * lead - (alpha - 1.0) * term
 
 
 def h_hat(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> np.ndarray:
     """Critical observable ``sigma^g (sigma^g rho sigma^g)^(a-1) sigma^g``;
-    raises on the support cases where :func:`q_tilde` does."""
-    _, spec_sig, case = _classified_spectra(rho, sigma)
+    raises where :func:`q_tilde` does."""
+    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
     return _critical_observable(rho, spec_sig, alpha)
 
@@ -314,6 +313,7 @@ def _critical_observable(
 ) -> np.ndarray:
     """:func:`h_hat` on an already decomposed sigma, support case unchecked."""
     s_g, x = _sandwich(sigma_spec, RenyiOrder(alpha).gamma, rho)
+    _require_support(x.support_mask(), alpha)
     core = x.on_support(lambda lam: lam ** (alpha - 1.0))
     return hermitian_part(s_g @ core @ s_g)
 
@@ -334,7 +334,7 @@ def _spectrum_entropy(lam: np.ndarray, alpha: float, keep: np.ndarray):
         return -np.log2(lam[..., -1])
     if alpha == 0.0:
         return np.log2(keep.sum(axis=-1))
-    return _log2_trace_power(lam, alpha, keep) / (1.0 - alpha)
+    return _log2_trace_power(lam, alpha, keep)[0] / (1.0 - alpha)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -394,10 +394,10 @@ def _fixed_point_step(
     if not x_keep[-1]:
         return math.inf, None
     # tr X^a = top^a q: the scale top cancels from the normalized next sigma
-    top, power, q = _factored_power(x.eigenvalues, alpha, x_keep)
+    log_q, power, q = _log2_trace_power(x.eigenvalues, alpha, x_keep)
     xa = x.reconstruct(power).reshape(dim_a, dim_b, dim_a, dim_b)
     nxt = hermitian_part(np.einsum("abac->bc", xa) / q)
-    return (alpha * math.log2(top) + math.log2(q)) / (alpha - 1.0), nxt
+    return log_q / (alpha - 1.0), nxt
 
 
 def conditional_renyi(state: BipartiteState, alpha: float):

@@ -110,7 +110,7 @@ def _certified(forward, adjoint, rho, sigma, alpha, eq_tol) -> EqualityCertifica
     by ``adjoint``.  The outputs need no support check: a channel keeps
     supp(rho) inside supp(sigma), and since fidelity does not decrease
     under a channel, overlapping supports stay overlapping."""
-    _, spec_sig, case = _classified_spectra(rho, sigma)
+    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
     lhs_op = _critical_observable(rho, spec_sig, alpha)
     out_spec = positive_spectrum(forward(sigma))

@@ -209,6 +209,8 @@ def reof_minimize(
     an upper bound on the true minimum together with the realizing
     ensemble.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     lam, vecs = hermitian_eig(state.mat).supported()
     lam, vecs = lam[::-1], vecs[:, ::-1]
     r = lam.size

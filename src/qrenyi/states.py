@@ -27,6 +27,8 @@ def substream(seed: int, *indices: int) -> np.random.Generator:
     Built on Philox keyed through a spawned SeedSequence, so any tuple of
     indices yields a reproducible stream independent of evaluation order.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in indices))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -68,6 +70,8 @@ class BipartiteState:
     dim_b: int
 
     def __post_init__(self):
+        if min(self.dim_a, self.dim_b) < 1:
+            raise ValueError(f"dims must be >= 1, got ({self.dim_a}, {self.dim_b})")
         m = as_complex_matrix(self.mat)
         d = self.dim_a * self.dim_b
         if m.shape != (d, d):

@@ -68,6 +68,12 @@ class TestApply:
         with pytest.raises(ValueError):
             depolarizing(d, p)
 
+    @pytest.mark.parametrize("gamma", [1.5, -0.5, np.nan])
+    def test_amplitude_damping_rejects_out_of_range(self, gamma):
+        # sqrt(1 - gamma) would warn and leave a NaN Kraus entry
+        with pytest.raises(ValueError, match="gamma"):
+            amplitude_damping(gamma)
+
     def test_full_damping_on_mixed(self):
         out = apply(amplitude_damping(1.0), maximally_mixed(2))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)

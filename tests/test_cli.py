@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qrenyi.cli import (
     EXIT_PARSE_ERROR,
     EXIT_PRECONDITION,
     EXIT_SUITE_FAILURE,
+    MatrixFileError,
     channel_to_doc,
     main,
     matrix_to_doc,
@@ -73,6 +75,15 @@ class TestMatrixFile:
         code, out = _run(capsys, ["entanglement-fidelity", "--rho", rho, "--channel", chan])
         assert code == EXIT_PARSE_ERROR and out is None
 
+    def test_rejects_dimensions_below_one(self):
+        state = matrix_to_doc(maximally_mixed(4), "state", dims=(-2, -2))
+        flat = {"kind": "state", "dim": 0, "re": [], "im": []}
+        chan = channel_to_doc(amplitude_damping(0.37))
+        chan["dim_in"] = chan["dim_out"] = -2
+        for doc in (state, flat, chan):
+            with pytest.raises(MatrixFileError, match="must be >= 1"):
+                parse_matrix_doc(doc)
+
     def test_rejects_nonpositive_state(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         doc = matrix_to_doc(bad, "state")
@@ -101,6 +112,18 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert abs(out["value"] - 1.0) < 1e-9
+
+    def test_divergence_rre_at_large_order_is_finite(self, capsys, workdir):
+        # mu_min^(1 - alpha) leaves the float range on this pair
+        _, write = workdir
+        rho = write("rho.json", matrix_to_doc(random_density(2, 2, 11), "state"))
+        sig = write("sig.json", matrix_to_doc(random_density(2, 2, 12), "state"))
+        code, out = _run(
+            capsys,
+            ["divergence", "--kind", "rre", "--rho", rho, "--sigma", sig, "--alpha", "300"],
+        )
+        assert code == EXIT_OK
+        assert isinstance(out["value"], float) and math.isfinite(out["value"])
 
     def test_divergence_infinite(self, capsys, workdir):
         _, write = workdir
@@ -381,6 +404,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_PARSE_ERROR
         assert err == f"error: search needs at least one trial, got {trials}\n"
+
+    def test_negative_restarts(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        doc = matrix_to_doc(random_density(4, 4, 5), "state", dims=(2, 2))
+        state.write_text(json.dumps(doc))
+        code = main(["eof", "--state", str(state), "--restarts", "-3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err == "error: restarts must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--name", "duality", "--trials", "1", "--seed", "-1"],
+            ["violation-search", "--trials", "1", "--seed", "-1"],
+        ],
+        ids=["suite", "violation-search"],
+    )
+    def test_negative_seed(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_state_dimensions_below_one(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        doc = matrix_to_doc(maximally_mixed(4), "state", dims=(-2, -2))
+        state.write_text(json.dumps(doc))
+        code = main(["conditional-entropy", "--state", str(state)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err == "error: dimA and dimB must be >= 1, got -2 and -2\n"
 
     def test_unwritable_output(self, capsys, tmp_path):
         rho = tmp_path / "rho.json"

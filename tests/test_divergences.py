@@ -26,6 +26,7 @@ from qrenyi.errors import (
     AbsoluteContinuityViolation,
     DisjointSupports,
     NonHermitianInput,
+    PrecisionLoss,
     SupportViolation,
 )
 from qrenyi.linalg import (
@@ -119,6 +120,14 @@ class TestTraceFunctional:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert q_tilde(rho, sig, 1000) == math.inf
+
+    def test_underflow_raises_where_srd_does(self):
+        # at alpha = 0.002 no eigenvalue of the sandwich survives the cutoff,
+        # so the functional and the critical observable are not silently 0
+        rho, sig = random_density(2, 2, 1), random_density(2, 2, 2)
+        for fn in (srd, q_tilde, h_hat):
+            with pytest.raises(PrecisionLoss):
+                fn(rho, sig, 0.002)
 
     def test_support_errors(self):
         sigma_def = np.diag([1.0, 0.0]).astype(complex)
@@ -292,6 +301,17 @@ class TestQreAndDmax:
             value = srd(rho, sig, 1000.0).value
         assert math.isfinite(value)
         assert srd(rho, sig, 100.0).value <= value <= d_max(rho, sig).value
+
+    def test_petz_large_order_stays_finite(self):
+        # mu_min^(1 - alpha) overflows here; the log-domain pair sum does not
+        rho = random_density(2, 2, 11)
+        sig = random_density(2, 2, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [rre(rho, sig, a).value for a in (100.0, 300.0, 1000.0)]
+        assert all(math.isfinite(v) for v in values)
+        assert values == sorted(values)
+        assert srd(rho, sig, 1000.0).value <= values[-1]
 
 
 class TestKl:
@@ -680,15 +700,32 @@ class TestSrdProperties:
     @property_settings
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.5, 10.0))
     def test_non_decreasing_in_order(self, d, seed, alpha):
-        # Mueller-Lennert et al. (2013) and Beigi (2013); alpha = 1 is the
+        # Mueller-Lennert et al. (2013) and Beigi (2013) for srd, and the
+        # convexity of log tr(rho^a sigma^(1-a)) in a for rre; alpha = 1 is the
         # relative entropy, and orders above 1 read inf on uncontained supports
         rng = np.random.default_rng(seed)
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
         sig = random_density(d, int(rng.integers(1, d + 1)), rng)
-        grid = sorted({0.5, 0.75, 1.0, 1.5, 2.0, 5.0, 10.0, alpha})
-        values = [srd(rho, sig, a).value for a in grid]
-        for lo, hi in zip(values, values[1:]):
-            assert hi == math.inf or hi >= lo - 1e-9 * max(1.0, abs(lo))
+        grid = sorted({0.5, 0.75, 1.0, 1.5, 2.0, 5.0, 10.0, 100.0, 1000.0, alpha})
+        for div in (srd, rre):
+            values = [div(rho, sig, a).value for a in grid]
+            for lo, hi in zip(values, values[1:]):
+                assert hi == math.inf or hi >= lo - 1e-9 * max(1.0, abs(lo))
+
+    @property_settings
+    @given(
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 1000.0).filter(lambda a: abs(a - 1.0) > 1e-3),
+    )
+    def test_at_most_the_petz_divergence(self, d, seed, alpha):
+        # Araki-Lieb-Thirring gives D~_a <= D_a (Wilde, Winter & Yang 2014);
+        # both read inf on the same support cases
+        rng = np.random.default_rng(seed)
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        sig = random_density(d, int(rng.integers(1, d + 1)), rng)
+        petz = rre(rho, sig, alpha).value
+        assert srd(rho, sig, alpha).value <= petz + 1e-9 * max(1.0, abs(petz))
 
     @property_settings
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.5, 10.0))

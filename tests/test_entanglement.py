@@ -258,6 +258,11 @@ class TestReofMinimize:
         with pytest.raises(ValueError):
             reof_minimize(BipartiteState(random_density(4, 3, 0), 2, 2), 2.0, ensemble_size=2)
 
+    def test_rejects_negative_restarts(self):
+        state = BipartiteState(random_density(4, 4, 5), 2, 2)
+        with pytest.raises(ValueError, match="restarts must be >= 0, got -3"):
+            reof_minimize(state, 2.0, restarts=-3)
+
 
 class TestEntanglementFidelity:
     def test_identity_channel(self):

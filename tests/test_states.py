@@ -112,6 +112,10 @@ class TestRandomStates:
         a2 = random_density(3, 3, substream(55, 4))
         assert max_abs(a1 - a2) == 0.0
 
+    def test_substream_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            substream(-1, 4)
+
     def test_random_unitary_is_unitary(self):
         for seed in range(5):
             u = random_unitary(4, seed)
@@ -122,6 +126,12 @@ class TestBipartite:
     def test_dims_must_match(self):
         with pytest.raises(DimensionMismatch):
             BipartiteState(np.eye(4, dtype=complex) / 4, 2, 3)
+
+    @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4)])
+    def test_rejects_dimensions_below_one(self, dims):
+        # (-2, -2) matches the 4 x 4 shape, and numpy's reshape would reject it
+        with pytest.raises(ValueError, match="dims must be >= 1"):
+            BipartiteState(maximally_mixed(4), *dims)
 
     def test_marginals_of_product(self):
         rho_a = random_density(2, 2, 1)
