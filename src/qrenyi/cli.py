@@ -27,6 +27,7 @@ from .dpi import (
 )
 from .entanglement import (
     araki_lieb_renyi,
+    check_reof_options,
     entanglement_fidelity,
     eof_lower_bound,
     fe_equality_check,
@@ -325,6 +326,8 @@ def cmd_araki_lieb(state, alpha) -> dict:
 @_command(ensemble_size={"type": int}, restarts={"type": int, "default": 4})
 def cmd_eof(state, ensemble_size, restarts, seed, alpha) -> dict:
     """(Renyi) entanglement of formation."""
+    # order 1 returns before the minimizer runs, so its options are checked here
+    check_reof_options(alpha, ensemble_size, restarts)
     payload = {"alpha": alpha, "eof_lower_bound": eof_lower_bound(state)}
     if alpha == 1.0:
         return payload

@@ -63,7 +63,10 @@ class RenyiOrder:
     @property
     def gamma(self) -> float:
         """Sandwich exponent (1 - alpha) / (2 alpha)."""
-        return (1.0 - self.alpha) / (2.0 * self.alpha)
+        # halved last, as is dual_beta: 2 alpha overflows above about 9e307,
+        # and halving commutes with rounding, so the bits are those of
+        # dividing by 2 alpha wherever that is finite
+        return (1.0 - self.alpha) / self.alpha * 0.5
 
     @property
     def dual_beta(self) -> float:
@@ -72,7 +75,7 @@ class RenyiOrder:
             raise ValueError("dual order defined for alpha >= 1/2")
         if self.alpha == 0.5:
             return math.inf
-        return self.alpha / (2.0 * self.alpha - 1.0)
+        return self.alpha / (self.alpha - 0.5) * 0.5
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,7 @@ def _require_defined(alpha: float, case: str) -> None:
 
 
 _LOG2 = np.frompyfunc(math.log2, 1, 1)
+_LN2 = math.log(2.0)
 
 
 def _log2(x):
@@ -160,7 +164,8 @@ def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
     sum is factored by the dominant kept ``top`` (the largest for alpha > 0,
     the smallest for alpha < 0), ``ratio = (lam / top)**alpha`` where kept
     and 0 elsewhere, and ``rest = sum(ratio)`` lies in ``[1, lam.shape[-1]]``.
-    Raises PrecisionLoss where a row keeps nothing."""
+    Raises PrecisionLoss where a row keeps nothing, or where ``alpha log2
+    top`` leaves the float range (orders beyond about 1e305)."""
     _require_support(keep, alpha)
     if alpha > 0:
         top = lam[..., -1]
@@ -168,7 +173,14 @@ def _log2_trace_power(lam: np.ndarray, alpha: float, keep: np.ndarray):
         top = np.minimum.reduce(lam, axis=-1, where=keep, initial=math.inf)
     ratio = np.power(lam / top[..., None], alpha, out=np.zeros_like(lam), where=keep)
     rest = np.add.reduce(ratio, axis=-1, where=keep)
-    return alpha * _log2(top) + _log2(rest), ratio, rest
+    log_sum = alpha * _log2(top) + _log2(rest)
+    if isinstance(log_sum, float):
+        finite = math.isfinite(log_sum)
+    else:
+        finite = np.isfinite(log_sum).all()
+    if not finite:
+        raise PrecisionLoss(f"log2 of the power sum overflows at alpha = {alpha}")
+    return log_sum, ratio, rest
 
 
 def _exp2(x) -> float:
@@ -226,7 +238,8 @@ def _srd_values(rho: np.ndarray, sigma: np.ndarray, alpha: float):
 def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     """Relative Renyi entropy ``log tr(rho^a sigma^(1-a)) / (a-1)``, the trace
     ``sum lam_i^a mu_j^(1-a) c_ij`` over the overlaps of the two spectra
-    summed in the log domain, so no power of lam or mu leaves the range."""
+    summed in the log domain, so no power of lam or mu leaves the range;
+    raises PrecisionLoss where a term's logarithm does (orders near 1e308)."""
     if alpha == 1.0:
         return qre(rho, sigma)
     RenyiOrder(alpha)
@@ -236,7 +249,10 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     _require_support(spec_rho.support_mask(), alpha)
     i, j = np.nonzero(c)
     lam, mu = spec_rho.eigenvalues[i], spec_sig.eigenvalues[j]
-    logs = alpha * np.log2(lam) + (1.0 - alpha) * np.log2(mu) + np.log2(c[i, j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = alpha * np.log2(lam) + (1.0 - alpha) * np.log2(mu) + np.log2(c[i, j])
+    if not np.isfinite(logs).all():
+        raise PrecisionLoss(f"log-domain terms overflow at alpha = {alpha}")
     log_q = float(np.logaddexp2.reduce(logs))
     tr_rho = float(np.trace(as_complex_matrix(rho)).real)
     return DivergenceValue((log_q - math.log2(tr_rho)) / (alpha - 1.0), case)
@@ -337,14 +353,57 @@ def _spectrum_entropy(lam: np.ndarray, alpha: float, keep: np.ndarray):
     return _log2_trace_power(lam, alpha, keep)[0] / (1.0 - alpha)
 
 
+def _spectrum_entropy_slope(p: np.ndarray, alpha: float, keep: np.ndarray):
+    """``(h, g)`` for unit-sum spectra ``p`` along the last axis, as
+    :func:`_spectrum_entropy` takes them: ``h = S_alpha(p)``, and
+    ``g_k = d(w S_alpha(q / w)) / dq_k`` at ``q = w p``, ``w = sum(q)``, the
+    slope of a weighted entropy in its unnormalized spectrum (it depends on
+    p alone).  g is 0 on dropped values; on kept ones it is
+
+    - ``h + alpha / ((1 - alpha) ln 2) * (p_k^(alpha-1) / sum(p^alpha) - 1)``
+      at finite alpha other than 0 and 1;
+    - ``-log2 p_k`` at alpha = 1, ``h`` at alpha = 0;
+    - ``h + (1 - [k = top] / p_top) / ln 2`` at alpha = inf.
+
+    Through ``q = s**2`` the slope in a singular value s is ``2 s g``, whose
+    power term scales as ``s^(2 alpha - 1)``: finite as s -> 0 for
+    alpha > 1/2.  For alpha <= 1/2 it grows without bound there, but only
+    values above the support cutoff are kept, so g stays finite: it is the
+    slope of the entropy as evaluated, with the values under the cutoff
+    counted as 0.
+    """
+    if alpha == 1.0:
+        logs = np.log2(p, out=np.zeros_like(p), where=keep)
+        return -np.add.reduce(p * logs, axis=-1, where=keep), -logs
+    if alpha == 0.0 or alpha == math.inf:
+        h = _spectrum_entropy(p, alpha, keep)
+        slope = h[..., None] + np.zeros_like(p)
+        if alpha == math.inf:
+            slope += 1.0 / _LN2
+            slope[..., -1] -= 1.0 / (p[..., -1] * _LN2)
+    else:
+        log_sum, ratio, rest = _log2_trace_power(p, alpha, keep)
+        h = log_sum / (1.0 - alpha)
+        # p_k^(alpha-1) / sum(p^alpha) = ratio_k / (p_k rest), in range
+        power = np.divide(ratio, p * rest[..., None], out=np.zeros_like(p), where=keep)
+        slope = h[..., None] + alpha / ((1.0 - alpha) * _LN2) * (power - 1.0)
+    return h, np.where(keep, slope, 0.0)
+
+
+def _check_entropy_order(alpha: float) -> None:
+    """Entropies take every order in [0, inf]: raise ValueError naming
+    alpha for a negative or NaN one."""
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     return renyi_entropy(rho, 1.0)
 
 
 def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    _check_entropy_order(alpha)
     spec = hermitian_eig(rho)
     return float(_spectrum_entropy(spec.eigenvalues, alpha, spec.support_mask()))
 

@@ -11,7 +11,9 @@ import numpy as np
 from .channels import QuantumChannel, apply
 from .divergences import (
     RenyiOrder,
+    _check_entropy_order,
     _spectrum_entropy,
+    _spectrum_entropy_slope,
     conditional_entropy,
     conditional_renyi,
 )
@@ -193,6 +195,17 @@ def _ensemble_from_isometry(scaled: np.ndarray, t: np.ndarray, floor: float):
     return weights[live], tilde[:, live] / np.sqrt(weights[live])
 
 
+def check_reof_options(alpha: float, ensemble_size: int | None, restarts: int) -> None:
+    """Reject what :func:`reof_minimize` cannot take, with ValueError: an
+    order below 0 or NaN, fewer than 1 ensemble member, or fewer than 0
+    restarts.  The CLI checks its options here at every order."""
+    _check_entropy_order(alpha)
+    if ensemble_size is not None and ensemble_size < 1:
+        raise ValueError(f"ensemble_size must be >= 1, got {ensemble_size}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+
+
 def reof_minimize(
     state: BipartiteState,
     alpha: float,
@@ -208,9 +221,13 @@ def reof_minimize(
     re-orthonormalized on each evaluation via its polar factor.  Returns
     an upper bound on the true minimum together with the realizing
     ensemble.
+
+    L-BFGS-B gets the exact gradient with each value, from the two SVDs an
+    evaluation does: the entropy's slope in each member's Schmidt
+    coefficients goes back through the members' SVD, then the mixing, then
+    the polar factor's adjoint.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    check_reof_options(alpha, ensemble_size, restarts)
     lam, vecs = hermitian_eig(state.mat).supported()
     lam, vecs = lam[::-1], vecs[:, ::-1]
     r = lam.size
@@ -218,27 +235,42 @@ def reof_minimize(
     if m < r:
         raise ValueError(f"ensemble_size must be >= rank {r}")
     scaled = vecs * np.sqrt(lam)
+    half = m * r
 
-    def orth(z: np.ndarray) -> np.ndarray:
-        u, _, vh = np.linalg.svd(z, full_matrices=False)
-        return u @ vh
+    def polar(x: np.ndarray):
+        """Thin SVD ``(U, S, V^dag)`` of Z and its polar factor ``U V^dag``."""
+        z = (x[:half] + 1j * x[half:]).reshape(m, r)
+        u, s, vh = np.linalg.svd(z, full_matrices=False)
+        return u, s, vh, u @ vh
 
-    def objective_from_t(t: np.ndarray) -> float:
-        weights, psi = _ensemble_from_isometry(scaled, t, 1e-14)
-        members = psi.T.reshape(-1, state.dim_a, state.dim_b)
+    def value_and_gradient(x: np.ndarray):
+        u, s, vh, t = polar(x)
+        # member i is column i of scaled T^T, unnormalized: weight w_i = sum q
+        tilde = scaled @ t.T
+        nu, sv, nvh = np.linalg.svd(
+            tilde.T.reshape(m, state.dim_a, state.dim_b), full_matrices=False
+        )
         # the reduced spectrum of a pure state is its squared Schmidt
         # coefficients; svd returns them descending, the entropy wants ascending
-        spectra = np.linalg.svd(members, compute_uv=False)[:, ::-1] ** 2
-        keep = spectra > support_threshold(spectra)[:, None]
-        entropies = _spectrum_entropy(spectra, alpha, keep)
-        return sum(w * h for w, h in zip(weights, entropies))
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        half = m * r
-        return (x[:half] + 1j * x[half:]).reshape(m, r)
+        q = sv[:, ::-1] ** 2
+        w = np.sum(q, axis=1)
+        live = w > 1e-14
+        p = q[live] / w[live, None]
+        h, slope = _spectrum_entropy_slope(p, alpha, p > support_threshold(p)[:, None])
+        # dF/ds = 2 s dF/dq for each singular value s, in svd's descending order
+        g_sv = np.zeros_like(sv)
+        g_sv[live] = 2.0 * sv[live] * slope[:, ::-1]
+        g_t = ((nu * g_sv[:, None, :]) @ nvh).reshape(m, -1) @ scaled.conj()
+        # adjoint of the polar factor of Z = U S V^dag
+        ug = u.conj().T @ g_t
+        a = ug @ vh.conj().T
+        b = (a - a.conj().T) / (s[:, None] + s[None, :])
+        g_z = u @ b @ vh + (g_t - u @ ug) @ (vh.conj().T / s) @ vh
+        grad = np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
+        return float(np.sum(w[live] * h)), grad
 
     best_val = math.inf
-    best_t = None
+    best_x = None
     for k in range(restarts + 1):
         if k == 0:
             z0 = np.zeros((m, r), dtype=np.complex128)
@@ -247,28 +279,25 @@ def reof_minimize(
             rng = substream(seed, k)
             z0 = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
         x0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
-
-        def fun(x):
-            return objective_from_t(orth(unpack(x)))
-
-        # gtol sits just above the finite-difference noise floor of the
-        # objective; anything tighter spins until maxiter
+        # stop once no gradient entry exceeds 1e-7, or once a step lowers
+        # the value by less than 1e-12 relative
         res = minimize(
-            fun,
+            value_and_gradient,
             x0,
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": 400, "ftol": 1e-12, "gtol": 1e-7},
         )
         val = float(res.fun)
         if val < best_val:
             best_val = val
-            best_t = orth(unpack(res.x))
+            best_x = res.x
 
-    if best_t is None or not math.isfinite(best_val):
+    if best_x is None or not math.isfinite(best_val):
         raise OptimizerNonConvergence(
             "ensemble optimization produced no finite value", best_value=best_val
         )
-    weights, states = _ensemble_from_isometry(scaled, best_t, 1e-12)
+    weights, states = _ensemble_from_isometry(scaled, polar(best_x)[3], 1e-12)
     return best_val, PureStateEnsemble(weights, tuple(states.T))
 
 

@@ -414,6 +414,36 @@ class TestExitCodes:
         assert code == EXIT_PARSE_ERROR
         assert err == "error: restarts must be >= 0, got -3\n"
 
+    @pytest.mark.parametrize("alpha", ["1", "2"])
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (["--restarts", "-3"], "restarts must be >= 0, got -3"),
+            (["--ensemble-size", "-5"], "ensemble_size must be >= 1, got -5"),
+            (["--ensemble-size", "0"], "ensemble_size must be >= 1, got 0"),
+        ],
+        ids=["restarts", "ensemble-size", "empty-ensemble"],
+    )
+    def test_eof_options_at_every_order(self, capsys, tmp_path, alpha, option, message):
+        # order 1 returns the von Neumann bound without minimizing
+        state = tmp_path / "state.json"
+        doc = matrix_to_doc(random_density(4, 4, 5), "state", dims=(2, 2))
+        state.write_text(json.dumps(doc))
+        code = main(["eof", "--state", str(state), "--alpha", alpha, *option])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan"])
+    def test_eof_meaningless_order(self, capsys, tmp_path, alpha):
+        state = tmp_path / "state.json"
+        doc = matrix_to_doc(random_density(4, 2, 616), "state", dims=(2, 2))
+        state.write_text(json.dumps(doc))
+        code = main(["eof", "--state", str(state), "--alpha", alpha])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err == f"error: alpha must be non-negative, got {float(alpha)}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -81,6 +81,34 @@ class TestRenyiOrder:
         with pytest.raises(ValueError):
             RenyiOrder(bad)
 
+    @pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+    def test_exponents_beyond_twice_the_range(self, alpha):
+        # 2 alpha overflows here; the exponents are halved last
+        order = RenyiOrder(alpha)
+        assert order.gamma == -0.5
+        assert order.dual_beta == 0.5
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1e-300, 8.9e307).filter(lambda a: a != 1.0))
+    def test_exponents_bit_identical_where_twice_is_finite(self, alpha):
+        order = RenyiOrder(alpha)
+        assert order.gamma == (1.0 - alpha) / (2.0 * alpha)
+        if alpha >= 0.5:
+            assert order.dual_beta == alpha / (2.0 * alpha - 1.0)
+
+    def test_divergences_at_the_top_of_the_range(self):
+        # at 1e308 the sandwich exponent was -0.0 and srd read -0.6410; the
+        # log of the power sum leaves the float range there, so it is
+        # PrecisionLoss, while 1e307 still reads the D_max-like value
+        rho, sig = random_density(2, 2, 11), random_density(2, 2, 12)
+        assert srd(rho, sig, 1e307).value == pytest.approx(8.830925937336755, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (1e308, 1.7e308):
+                for fn in (srd, rre):
+                    with pytest.raises(PrecisionLoss):
+                        fn(rho, sig, alpha)
+
 
 class TestTraceFunctional:
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -451,6 +479,11 @@ class TestEntropies:
             got = renyi_entropy(rho, alpha)
         assert math.isfinite(got)
         assert renyi_entropy(rho, math.inf) <= got <= renyi_entropy(rho, 1000.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan])
+    def test_renyi_entropy_rejects_meaningless_orders(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be non-negative, got {alpha}"):
+            renyi_entropy(maximally_mixed(2), alpha)
 
     def test_von_neumann(self):
         assert abs(von_neumann_entropy(projector(random_pure(4, 2)))) < 1e-9

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrenyi.entanglement as entanglement
 from qrenyi.channels import (
     amplitude_damping,
     apply,
@@ -262,6 +265,93 @@ class TestReofMinimize:
         state = BipartiteState(random_density(4, 4, 5), 2, 2)
         with pytest.raises(ValueError, match="restarts must be >= 0, got -3"):
             reof_minimize(state, 2.0, restarts=-3)
+
+    def test_rejects_empty_ensemble(self):
+        state = BipartiteState(random_density(4, 4, 5), 2, 2)
+        with pytest.raises(ValueError, match="ensemble_size must be >= 1, got -5"):
+            reof_minimize(state, 2.0, ensemble_size=-5)
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan])
+    def test_rejects_meaningless_orders(self, alpha):
+        state = BipartiteState(random_density(4, 2, 616), 2, 2)
+        with pytest.raises(ValueError, match=f"alpha must be non-negative, got {alpha}"):
+            reof_minimize(state, alpha)
+
+    @staticmethod
+    def _objective(monkeypatch, state, alpha, ensemble_size):
+        """The objective of restart 0, which returns ``(value, gradient)``,
+        and its start; the minimization itself is not run."""
+
+        class Captured(Exception):
+            pass
+
+        def capturing_minimize(fun, x0, **kwargs):
+            raise Captured(fun, x0)
+
+        monkeypatch.setattr(entanglement, "minimize", capturing_minimize)
+        with pytest.raises(Captured) as caught:
+            reof_minimize(state, alpha, ensemble_size=ensemble_size)
+        return caught.value.args
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0, 2.0, 3.0, math.inf])
+    def test_gradient_matches_central_differences(self, monkeypatch, alpha):
+        # restart 0 starts where every singular value of the mixing is 1;
+        # an ensemble two larger than the rank exercises the part of the
+        # polar factor's adjoint off the isometry's range
+        for dim_a, dim_b in [(2, 2), (2, 3), (3, 2)]:
+            for rank in range(1, dim_a * dim_b + 1):
+                rng = substream(617, dim_a, dim_b, rank)
+                mat = random_density(dim_a * dim_b, rank, rng)
+                state = BipartiteState(mat, dim_a, dim_b)
+                fun, start = self._objective(monkeypatch, state, alpha, rank + 2)
+                for x in (start, start + 0.3 * rng.normal(size=start.size)):
+                    grad = fun(x)[1]
+                    steps = 1e-6 * np.eye(x.size)
+                    central = [(fun(x + e)[0] - fun(x - e)[0]) / 2e-6 for e in steps]
+                    scale = max(1.0, float(np.max(np.abs(grad))))
+                    assert np.max(np.abs(np.array(central) - grad)) <= 1e-6 * scale
+
+    def test_flat_objectives_stop_at_once(self, monkeypatch):
+        # restart 0 starts at a minimum on both: every ensemble of a
+        # saturating state has the same value, and a product state's
+        # eigen-ensemble is product, at value 0; the gradient is 0 there
+        runs = []
+
+        def recording_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            runs.append(res)
+            return res
+
+        minimize = entanglement.minimize
+        monkeypatch.setattr(entanglement, "minimize", recording_minimize)
+        rng = substream(618)
+        product = tensor(random_density(2, 2, rng), random_density(2, 2, rng))
+        reof_minimize(BipartiteState(product, 2, 2), 2.0, ensemble_size=8, restarts=1)
+        reof_minimize(generic_saturating(), 2.0, restarts=1)
+        assert all(res.success for res in runs)
+        assert [res.nfev for res in runs[::2]] == [1, 1]
+        assert sum(res.nfev for res in runs) <= 60
+
+
+property_settings = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+
+class TestReofProperties:
+    @property_settings
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+        st.integers(0, 2**32 - 1),
+        st.floats(1.1, 5.0),
+    )
+    def test_never_below_lower_bound(self, dims, seed, alpha):
+        # the paper's general bound on the Renyi entanglement of formation
+        rng = np.random.default_rng(seed)
+        d = dims[0] * dims[1]
+        state = BipartiteState(random_density(d, int(rng.integers(1, d + 1)), rng), *dims)
+        value, _ = reof_minimize(state, alpha, restarts=0)
+        assert value >= reof_lower_bound(state, alpha) - 1e-6
 
 
 class TestEntanglementFidelity:
