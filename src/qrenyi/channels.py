@@ -30,25 +30,27 @@ TP_TOL = 1e-9
 class QuantumChannel:
     """Completely positive map given by Kraus operators.
 
-    Complete positivity is structural; trace preservation is checked on
-    construction unless ``require_tp=False`` (used for maps that are only
-    trace-preserving on a subspace, like recovery maps of rank-deficient
-    anchors).
+    ``kraus`` holds them as one read-only complex array of shape
+    ``(count, dim_out, dim_in)``; reshaped to ``(count * dim_out, dim_in)``
+    it is the Stinespring isometry ``V = sum_k |k> (x) K_k``.  Complete
+    positivity is structural; trace preservation (``V^dag V = 1``) is
+    checked on construction unless ``require_tp=False`` (used for maps that
+    are only trace-preserving on a subspace, like recovery maps of
+    rank-deficient anchors).
     """
 
     def __init__(self, kraus_ops, require_tp: bool = True):
-        ops = tuple(as_complex_matrix(k) for k in kraus_ops)
+        ops = [as_complex_matrix(k) for k in kraus_ops]
         if not ops:
             raise ValueError("need at least one Kraus operator")
-        d_out, d_in = ops[0].shape
-        for k in ops:
-            if k.shape != (d_out, d_in):
-                raise DimensionMismatch("Kraus operators have inconsistent shapes")
-            if not np.all(np.isfinite(k)):
-                raise NonFiniteInput("Kraus operator has a NaN or infinite entry")
-        self.kraus = ops
-        self.dim_in = d_in
-        self.dim_out = d_out
+        if len({k.shape for k in ops}) > 1:
+            raise DimensionMismatch("Kraus operators have inconsistent shapes")
+        kraus = np.stack(ops)
+        if not np.isfinite(kraus).all():
+            raise NonFiniteInput("Kraus operator has a NaN or infinite entry")
+        kraus.flags.writeable = False
+        self.kraus = kraus
+        _, self.dim_out, self.dim_in = kraus.shape
         if require_tp:
             defect = self.completeness_defect()
             if defect > TP_TOL:
@@ -57,8 +59,9 @@ class QuantumChannel:
                 )
 
     def completeness_defect(self) -> float:
-        s = sum(k.conj().T @ k for k in self.kraus)
-        return max_abs(s - np.eye(self.dim_in))
+        """``max|V^dag V - 1|`` for the isometry V, the stacked operators."""
+        v = self.kraus.reshape(-1, self.dim_in)
+        return max_abs(v.conj().T @ v - np.eye(self.dim_in))
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return apply(self, rho)
@@ -77,10 +80,8 @@ def apply(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"state dim {m.shape[0]} does not match channel input {channel.dim_in}"
         )
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=np.complex128)
-    for k in channel.kraus:
-        out += k @ m @ k.conj().T
-    return out
+    k = channel.kraus
+    return (k @ m @ k.conj().mT).sum(axis=0)
 
 
 def apply_adjoint(channel: QuantumChannel, y: np.ndarray) -> np.ndarray:
@@ -91,10 +92,8 @@ def apply_adjoint(channel: QuantumChannel, y: np.ndarray) -> np.ndarray:
             f"observable dim {m.shape[0]} does not match channel output "
             f"{channel.dim_out}"
         )
-    out = np.zeros((channel.dim_in, channel.dim_in), dtype=np.complex128)
-    for k in channel.kraus:
-        out += k.conj().T @ m @ k
-    return out
+    k = channel.kraus
+    return (k.conj().mT @ m @ k).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +134,8 @@ class StinespringDilation:
 def stinespring(channel: QuantumChannel) -> StinespringDilation:
     """Dilate a channel to a unitary with a pure ancilla.
 
-    The isometry stacks the Kraus operators, ``V psi = sum_k |e_k> (x)
-    K_k psi``, with the Kraus index embedded into H (x) H'; the unitary
+    The isometry is the channel's Kraus stack reshaped, ``V psi = sum_k
+    |e_k> (x) K_k psi``, with the Kraus index embedded into H (x) H'; the unitary
     extends V from the ancilla slice by an orthonormal basis of the
     complement of its range, taken from one complete QR factorization of V.
     """
@@ -147,9 +146,8 @@ def stinespring(channel: QuantumChannel) -> StinespringDilation:
     n = d_env * d_k
 
     v = np.zeros((n, d_h), dtype=np.complex128)
-    for idx, k in enumerate(channel.kraus):
-        # slot |e_idx>_{H x H'} (x) K_k: rows idx * d_k .. idx * d_k + d_k
-        v[idx * d_k : (idx + 1) * d_k, :] += k
+    # slot |e_k>_{H x H'} (x) K_k: rows k * d_k .. k * d_k + d_k
+    v[: m * d_k] = channel.kraus.reshape(-1, d_h)
 
     ancilla = np.zeros(d_hp * d_k, dtype=np.complex128)
     ancilla[0] = 1.0
@@ -178,45 +176,32 @@ def unitary_channel(u: np.ndarray) -> QuantumChannel:
 
 
 def partial_trace_channel(dim_a: int, dim_b: int, keep: str = "A") -> QuantumChannel:
-    """The partial trace as a channel (Kraus operators ``1 (x) <b|``)."""
-    kraus = []
+    """The partial trace as a channel: Kraus operators ``1 (x) <b|`` (or
+    ``<a| (x) 1``), the identity's rows ``<a| (x) <b|`` grouped by b (or a)."""
+    rows = np.eye(dim_a * dim_b, dtype=np.complex128).reshape(dim_a, dim_b, -1)
     if keep == "A":
-        eye = np.eye(dim_a, dtype=np.complex128)
-        for b in range(dim_b):
-            bra = np.zeros((1, dim_b), dtype=np.complex128)
-            bra[0, b] = 1.0
-            kraus.append(np.kron(eye, bra))
-    elif keep == "B":
-        eye = np.eye(dim_b, dtype=np.complex128)
-        for a in range(dim_a):
-            bra = np.zeros((1, dim_a), dtype=np.complex128)
-            bra[0, a] = 1.0
-            kraus.append(np.kron(bra, eye))
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return QuantumChannel(kraus)
+        return QuantumChannel(rows.transpose(1, 0, 2))
+    if keep == "B":
+        return QuantumChannel(rows)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def pinching_channel(projectors) -> QuantumChannel:
     """Block-diagonalizing channel ``rho -> sum_i P_i rho P_i``."""
-    ops = [as_complex_matrix(p) for p in projectors]
-    d = ops[0].shape[0]
-    total = sum(ops)
-    if max_abs(total - np.eye(d)) > TP_TOL:
+    p = QuantumChannel(projectors, require_tp=False).kraus
+    if max_abs(p.sum(axis=0) - np.eye(p.shape[-1])) > TP_TOL:
         raise IncompleteResolution("projectors do not resolve the identity")
-    for p in ops:
-        if max_abs(p @ p - p) > 1e-8 or max_abs(p - p.conj().T) > 1e-8:
-            raise IncompleteResolution("input is not an orthogonal projector")
-    return QuantumChannel(ops)
+    if max_abs(p @ p - p) > 1e-8 or max_abs(p - p.conj().mT) > 1e-8:
+        raise IncompleteResolution("input is not an orthogonal projector")
+    return QuantumChannel(p)
 
 
 def completely_dephasing(d: int) -> QuantumChannel:
-    projs = []
-    for i in range(d):
-        p = np.zeros((d, d), dtype=np.complex128)
-        p[i, i] = 1.0
-        projs.append(p)
-    return pinching_channel(projs)
+    """Pinching by the rank-1 projectors ``|i><i|`` onto the identity's rows."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
+    eye = np.eye(d, dtype=np.complex128)
+    return pinching_channel(eye[:, :, None] * eye[:, None, :])
 
 
 def amplitude_damping(gamma: float) -> QuantumChannel:
@@ -246,6 +231,8 @@ def measurement_channel(povm) -> QuantumChannel:
     Raises NegativeEigenvalue when an element is not positive semidefinite.
     """
     elements = [as_complex_matrix(m) for m in povm]
+    if not elements:
+        raise ValueError("need at least one POVM element")
     d = elements[0].shape[0]
     total = sum(elements)
     if max_abs(total - np.eye(d)) > TP_TOL:
@@ -274,5 +261,4 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed) -> Quantum
     stack = _complex_gaussian(rng, (kraus_count * dim_out, dim_in))
     gram = hermitian_part(stack.conj().T @ stack)
     stack = stack @ matrix_power_on_support(gram, -0.5)
-    kraus = [stack[i * dim_out : (i + 1) * dim_out, :] for i in range(kraus_count)]
-    return QuantumChannel(kraus)
+    return QuantumChannel(stack.reshape(kraus_count, dim_out, dim_in))

@@ -19,16 +19,16 @@ from . import __version__
 from .channels import QuantumChannel, apply
 from .divergences import conditional_renyi, d_max, qre, rre, srd
 from .dpi import (
+    EQ_TOL,
+    _recovery_error,
     dpi_check,
     dpi_violation_search,
     equality_residual,
     petz_recovery,
-    sufficiency_test,
 )
 from .entanglement import (
     araki_lieb_renyi,
     check_reof_options,
-    entanglement_fidelity,
     eof_lower_bound,
     fe_equality_check,
     reof_lower_bound,
@@ -290,12 +290,8 @@ def cmd_recover(sigma, channel, state) -> dict:
 @_command()
 def cmd_sufficiency(rho, sigma, channel) -> dict:
     """Does the recovery map restore rho?"""
-    rec = petz_recovery(sigma, channel)
-    back = apply(rec.channel, apply(channel, rho))
-    return {
-        "sufficient": sufficiency_test(rho, sigma, channel),
-        "recovery_error": max_abs(back - rho),
-    }
+    err = _recovery_error(rho, sigma, channel)
+    return {"sufficient": err <= EQ_TOL, "recovery_error": err}
 
 
 @_command()
@@ -351,7 +347,7 @@ def cmd_entanglement_fidelity(rho, channel) -> dict:
     """Entanglement fidelity and its bound gap."""
     rep = fe_equality_check(rho, channel)
     return {
-        "value": entanglement_fidelity(rho, channel),
+        "value": rep.entanglement_fidelity,
         "fidelity_squared": rep.fidelity_squared,
         "bound_gap": rep.bound_gap,
         "is_pure": rep.is_pure,

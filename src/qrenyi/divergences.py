@@ -16,6 +16,8 @@ import numpy as np
 from .errors import (
     AbsoluteContinuityViolation,
     DisjointSupports,
+    NegativeEigenvalue,
+    NonFiniteInput,
     OptimizerNonConvergence,
     PrecisionLoss,
     SupportViolation,
@@ -25,7 +27,6 @@ from .linalg import (
     _bare_eig,
     as_complex_matrix,
     check_hermitian,
-    hermitian_eig,
     hermitian_part,
     max_abs,
     # unused here, but kept bound: bench/tracer.py wraps ``divergences.minimize``
@@ -260,12 +261,14 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
 
 def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     """Relative entropy ``tr(rho (log rho - log sigma))`` in bits, as
-    ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two spectra."""
+    ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two spectra;
+    PrecisionLoss for a rho with empty support."""
     spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
     lam, mu = spec_rho.eigenvalues, spec_sig.eigenvalues
     keep = spec_rho.support_mask()
+    _require_support(keep, 1.0)
     log_mu = np.log2(mu, out=np.zeros_like(mu), where=spec_sig.support_mask())
     cross = float(np.sum(lam[:, None] * c * log_mu))
     ent = -float(_spectrum_entropy(lam, 1.0, keep))
@@ -274,20 +277,30 @@ def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
 
 
 def d_max(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
-    """Max-relative entropy ``log lambda_max(sigma^-1/2 rho sigma^-1/2)``."""
-    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
+    """Max-relative entropy ``log lambda_max(sigma^-1/2 rho sigma^-1/2)``;
+    PrecisionLoss for a rho with empty support."""
+    spec_rho, spec_sig, case, _ = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
+    _require_support(spec_rho.support_mask(), math.inf)
     lam_max = float(np.max(_sandwich(spec_sig, -0.5, rho)[1].eigenvalues))
     return DivergenceValue(math.log2(lam_max), case)
 
 
 def kl(p, q) -> float:
-    """Classical Kullback-Leibler divergence in bits, with 0 log 0 = 0."""
+    """Classical Kullback-Leibler divergence in bits, with 0 log 0 = 0.
+
+    Raises NonFiniteInput for a NaN or infinite entry and NegativeEigenvalue
+    for a negative one (the spectrum of a diagonal state)."""
     pv = np.asarray(p, dtype=float).reshape(-1)
     qv = np.asarray(q, dtype=float).reshape(-1)
     if pv.shape != qv.shape:
         raise ValueError("distributions must have equal length")
+    both = np.concatenate([pv, qv])
+    if not np.isfinite(both).all():
+        raise NonFiniteInput("distribution has a NaN or infinite entry")
+    if (both < 0.0).any():
+        raise NegativeEigenvalue("distribution has a negative entry")
     mask = pv > 0.0
     if np.any(qv[mask] <= 0.0):
         raise AbsoluteContinuityViolation("P puts mass where Q vanishes")
@@ -402,10 +415,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
-    """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders."""
+    """Renyi entropy ``log tr(rho^a) / (1-a)``; handles 0, 1 and inf orders.
+
+    Raises NegativeEigenvalue when rho is not positive semidefinite and
+    PrecisionLoss when its support is empty."""
     _check_entropy_order(alpha)
-    spec = hermitian_eig(rho)
-    return float(_spectrum_entropy(spec.eigenvalues, alpha, spec.support_mask()))
+    spec = positive_spectrum(rho)
+    keep = spec.support_mask()
+    _require_support(keep, alpha)
+    return float(_spectrum_entropy(spec.eigenvalues, alpha, keep))
 
 
 def conditional_entropy(state: BipartiteState) -> float:

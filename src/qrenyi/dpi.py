@@ -24,6 +24,7 @@ from .divergences import (
 from .errors import DimensionMismatch
 from .linalg import (
     as_complex_matrix,
+    check_hermitian,
     hermitian_eig,
     hermitian_part,
     matrix_power_on_support,
@@ -109,7 +110,11 @@ def _certified(forward, adjoint, rho, sigma, alpha, eq_tol) -> EqualityCertifica
     (rho, sigma) against that of (forward(rho), forward(sigma)) pulled back
     by ``adjoint``.  The outputs need no support check: a channel keeps
     supp(rho) inside supp(sigma), and since fidelity does not decrease
-    under a channel, overlapping supports stay overlapping."""
+    under a channel, overlapping supports stay overlapping.  ValueError
+    for an ``eq_tol`` that is not finite and >= 0, which would fix the
+    verdict whatever the residual."""
+    if not 0.0 <= eq_tol < math.inf:
+        raise ValueError(f"eq_tol must be finite and >= 0, got {eq_tol}")
     _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
     lhs_op = _critical_observable(rho, spec_sig, alpha)
@@ -187,7 +192,7 @@ def petz_recovery(sigma: np.ndarray, channel: QuantumChannel) -> RecoveryMap:
     sqrt_sig = matrix_power_on_support(sig, 0.5)
     out = apply(channel, sig)
     inv_sqrt_out = matrix_power_on_support(out, -0.5)
-    kraus = [sqrt_sig @ k.conj().T @ inv_sqrt_out for k in channel.kraus]
+    kraus = sqrt_sig @ channel.kraus.conj().mT @ inv_sqrt_out
     rec = QuantumChannel(kraus, require_tp=False)
     return RecoveryMap(rec, sig, channel)
 
@@ -196,9 +201,16 @@ def sufficiency_test(
     rho: np.ndarray, sigma: np.ndarray, channel: QuantumChannel
 ) -> bool:
     """Whether the sigma-anchored recovery map also restores rho (to ``EQ_TOL``)."""
+    return _recovery_error(rho, sigma, channel) <= EQ_TOL
+
+
+def _recovery_error(rho, sigma, channel) -> float:
+    """Max-entry distance between rho and its image under the channel
+    followed by the sigma-anchored recovery map; rho is checked finite and
+    Hermitian."""
+    rho_m = check_hermitian(rho)
     rec = petz_recovery(sigma, channel)
-    back = apply(rec.channel, apply(channel, rho))
-    return max_abs(back - as_complex_matrix(rho)) <= EQ_TOL
+    return max_abs(apply(rec.channel, apply(channel, rho_m)) - rho_m)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .divergences import (
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
 from .linalg import (
     as_complex_matrix,
-    check_hermitian,
     fidelity,
     hermitian_eig,
     hermitian_part,
@@ -30,7 +29,7 @@ from .linalg import (
     support_of,
     support_threshold,
 )
-from .states import BipartiteState, substream
+from .states import BipartiteState, check_positive, substream
 
 #: Cross-term threshold of :func:`check_saturation_conditions`.
 _SATURATION_CROSS_TOL = 1e-8
@@ -310,14 +309,15 @@ def entanglement_fidelity(rho: np.ndarray, channel: QuantumChannel) -> float:
     """Overlap of a purification with its image under ``N (x) id``.
 
     Computed as ``sum_k |tr(rho K_k)|^2``, which equals that overlap for
-    every purification of rho.
+    every purification of rho.  Raises NegativeEigenvalue when rho is not
+    positive semidefinite.
     """
-    rho_m = check_hermitian(rho)
+    rho_m = check_positive(rho)
     d = rho_m.shape[0]
     if channel.dim_in != d or channel.dim_out != d:
         raise DimensionMismatch("channel must act on the state's space")
-    val = sum(abs(np.trace(rho_m @ k)) ** 2 for k in channel.kraus)
-    return min(float(val), 1.0)
+    traces = np.trace(rho_m @ channel.kraus, axis1=-2, axis2=-1)
+    return min(float(np.sum(np.abs(traces) ** 2)), 1.0)
 
 
 def fe_equality_check(rho: np.ndarray, channel: QuantumChannel) -> FeEqualityReport:

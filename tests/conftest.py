@@ -1,3 +1,10 @@
+import os
+
+# Pinned before numpy loads: the library decomposes tiny matrices, on which a
+# multi-threaded BLAS pool costs more time than it saves.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

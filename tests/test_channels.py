@@ -256,3 +256,79 @@ class TestRandomChannel:
     def test_impossible_dimensions_rejected(self):
         with pytest.raises(ValueError):
             random_channel(5, 2, 2, 0)
+
+
+class TestKrausArray:
+    """The Kraus operators are one (count, dim_out, dim_in) array, and every
+    map reads it whole."""
+
+    @staticmethod
+    def _drawn(t):
+        rng = substream(307, t)
+        # from d = 2: numpy forms a 1 x 1 product by a dot, not a matrix product
+        d_in, d_out = int(rng.integers(2, 33)), int(rng.integers(2, 33))
+        count = int(rng.integers(1, 7))
+        while count * d_out < d_in:
+            count += 1
+        return random_channel(d_in, d_out, count, rng), count, rng
+
+    def test_one_read_only_stack(self):
+        chan, count, _ = self._drawn(0)
+        k = chan.kraus
+        assert isinstance(k, np.ndarray) and k.dtype == np.complex128
+        assert k.shape == (count, chan.dim_out, chan.dim_in)
+        with pytest.raises(ValueError):
+            k[0, 0, 0] = 1.0
+
+    def test_maps_bit_identical_to_per_operator_sums(self):
+        for t in range(100):
+            chan, count, rng = self._drawn(t)
+            assert chan.kraus.shape == (count, chan.dim_out, chan.dim_in)
+            x = random_hermitian_from(rng, chan.dim_in)
+            y = random_hermitian_from(rng, chan.dim_out)
+            fwd = np.zeros((chan.dim_out, chan.dim_out), dtype=complex)
+            adj = np.zeros((chan.dim_in, chan.dim_in), dtype=complex)
+            for k in chan.kraus:
+                fwd += k @ x @ k.conj().T
+                adj += k.conj().T @ y @ k
+            assert np.array_equal(apply(chan, x), fwd)
+            assert np.array_equal(apply_adjoint(chan, y), adj)
+
+    def test_isometry_is_the_reshaped_stack(self):
+        for t in range(10):
+            chan, count, _ = self._drawn(t)
+            v = stinespring(chan).isometry
+            rows = count * chan.dim_out
+            assert np.array_equal(v[:rows], chan.kraus.reshape(rows, chan.dim_in))
+            assert not v[rows:].any()
+            assert chan.completeness_defect() < 1e-12
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(1, 3), (2, 3), (3, 2)])
+    def test_partial_trace_operators(self, dim_a, dim_b):
+        bras_a, bras_b = np.eye(dim_a), np.eye(dim_b)
+        keep_a = [np.kron(np.eye(dim_a), bras_b[b : b + 1]) for b in range(dim_b)]
+        keep_b = [np.kron(bras_a[a : a + 1], np.eye(dim_b)) for a in range(dim_a)]
+        assert np.array_equal(partial_trace_channel(dim_a, dim_b, "A").kraus, keep_a)
+        assert np.array_equal(partial_trace_channel(dim_a, dim_b, "B").kraus, keep_b)
+
+    def test_dephasing_projectors(self):
+        want = [np.diag(row) for row in np.eye(4)]
+        assert np.array_equal(completely_dephasing(4).kraus, want)
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            QuantumChannel([np.eye(2), np.eye(3)], require_tp=False)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QuantumChannel([]),
+            lambda: pinching_channel([]),
+            lambda: measurement_channel([]),
+            lambda: completely_dephasing(0),
+        ],
+        ids=["kraus", "pinching", "measurement", "dephasing"],
+    )
+    def test_empty_constructors_raise_value_error(self, build):
+        with pytest.raises(ValueError, match="need"):
+            build()

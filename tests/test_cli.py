@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qrenyi import cli, dpi, entanglement
 from qrenyi.channels import amplitude_damping, unitary_channel
 from qrenyi.cli import (
     EXIT_OK,
@@ -164,6 +165,27 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert out["sufficient"] is False
+
+    def test_each_quantity_computed_once(self, capsys, workdir, monkeypatch):
+        _, write = workdir
+        rho = write("rho.json", matrix_to_doc(random_density(2, 2, 10), "state"))
+        damp = write("damp.json", channel_to_doc(amplitude_damping(0.3)))
+        calls = []
+
+        def counted(module, name):
+            # the CLI's own binding too, should it call the function directly
+            fn = getattr(module, name)
+            wrapped = lambda *a: calls.append(name) or fn(*a)  # noqa: E731
+            monkeypatch.setattr(module, name, wrapped)
+            monkeypatch.setattr(cli, name, wrapped, raising=False)
+
+        counted(dpi, "petz_recovery")
+        counted(entanglement, "entanglement_fidelity")
+        argv = ["--rho", rho, "--sigma", rho, "--channel", damp]
+        assert _run(capsys, ["sufficiency"] + argv)[0] == EXIT_OK
+        del argv[2:4]
+        assert _run(capsys, ["entanglement-fidelity"] + argv)[0] == EXIT_OK
+        assert calls == ["petz_recovery", "entanglement_fidelity"]
 
     def test_conditional_entropy_bell(self, capsys, workdir):
         _, write = workdir

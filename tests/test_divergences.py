@@ -25,6 +25,8 @@ from qrenyi.divergences import (
 from qrenyi.errors import (
     AbsoluteContinuityViolation,
     DisjointSupports,
+    NegativeEigenvalue,
+    NonFiniteInput,
     NonHermitianInput,
     PrecisionLoss,
     SupportViolation,
@@ -361,6 +363,56 @@ class TestKl:
         with pytest.raises(AbsoluteContinuityViolation):
             kl([0.5, 0.5], [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "p, q, error",
+        [
+            ([math.nan, 1.0], [0.5, 0.5], NonFiniteInput),
+            ([0.5, 0.5], [math.inf, 0.5], NonFiniteInput),
+            ([-0.5, 1.5], [0.5, 0.5], NegativeEigenvalue),
+            ([0.5, 0.5], [1.5, -0.5], NegativeEigenvalue),
+        ],
+    )
+    def test_bad_entries_raise(self, p, q, error):
+        with pytest.raises(error):
+            kl(p, q)
+
+
+class TestEmptySupport:
+    """Every divergence and entropy of the zero operator raises PrecisionLoss."""
+
+    ZERO = np.zeros((2, 2), dtype=complex)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda z, s: srd(z, s, 2.0),
+            lambda z, s: srd(z, s, 0.5),
+            lambda z, s: rre(z, s, 2.0),
+            lambda z, s: q_tilde(z, s, 2.0),
+            lambda z, s: qre(z, s),
+            lambda z, s: d_max(z, s),
+            lambda z, s: renyi_entropy(z, 0.0),
+            lambda z, s: renyi_entropy(z, 1.0),
+            lambda z, s: renyi_entropy(z, 2.0),
+            lambda z, s: renyi_entropy(z, math.inf),
+        ],
+        ids=[
+            "srd-2",
+            "srd-half",
+            "rre",
+            "q_tilde",
+            "qre",
+            "d_max",
+            "entropy-0",
+            "entropy-1",
+            "entropy-2",
+            "entropy-inf",
+        ],
+    )
+    def test_zero_operator_raises_precision_loss(self, evaluate):
+        with pytest.raises(PrecisionLoss):
+            evaluate(self.ZERO, maximally_mixed(2))
+
 
 class TestVariational:
     @pytest.mark.parametrize("alpha", [0.75, 2.0])
@@ -457,6 +509,11 @@ class TestVariational:
 
 
 class TestEntropies:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, math.inf])
+    def test_non_positive_input_raises(self, alpha):
+        with pytest.raises(NegativeEigenvalue):
+            renyi_entropy(np.diag([2.0, -1.0]), alpha)
+
     def test_renyi_entropy_examples(self):
         psi = projector(random_pure(3, 1))
         assert abs(renyi_entropy(psi, 0.7)) < 1e-9

@@ -48,7 +48,13 @@ from qrenyi.errors import (
     NonHermitianInput,
     SupportViolation,
 )
-from qrenyi.linalg import fidelity, hermitian_eig, max_abs, tensor
+from qrenyi.linalg import (
+    fidelity,
+    hermitian_eig,
+    matrix_power_on_support,
+    max_abs,
+    tensor,
+)
 from qrenyi.states import BipartiteState, random_density, random_unitary, substream
 from qrenyi.suites import _constructed_equality_instance, _random_triple
 
@@ -154,6 +160,23 @@ class TestDpiCheck:
 
 
 class TestEqualityResidual:
+    @pytest.mark.parametrize("eq_tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda r, s, tol: equality_residual(r, s, identity_channel(4), 2.0, tol),
+            lambda r, s, tol: equality_residual_stinespring(
+                r, s, identity_channel(4), 2.0, tol
+            ),
+            lambda r, s, tol: equality_residual_partial_trace(r, s, 2, 2, 2.0, tol),
+        ],
+        ids=["kraus", "stinespring", "partial-trace"],
+    )
+    def test_rejects_bad_tolerance(self, route, eq_tol):
+        rho, sig = random_density(4, 4, 1), random_density(4, 4, 2)
+        with pytest.raises(ValueError, match="eq_tol"):
+            route(rho, sig, eq_tol)
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_unitary_is_equal(self, alpha):
         rng = substream(504)
@@ -308,6 +331,17 @@ class TestPetzRecovery:
         assert max_abs(apply(rec.channel, apply(chan, sig)) - sig) < 1e-9
         assert max_abs(apply(rec.channel, apply(chan, rho)) - rho) > 1e-3
 
+    def test_operators_bit_identical_to_per_operator_products(self):
+        for t in range(20):
+            rng = substream(520, t)
+            chan = _valid_random_channel(rng)
+            sig = random_density(chan.dim_in, int(rng.integers(1, chan.dim_in + 1)), rng)
+            rec = petz_recovery(sig, chan)
+            root = matrix_power_on_support(sig, 0.5)
+            inv_root = matrix_power_on_support(apply(chan, sig), -0.5)
+            want = [root @ k.conj().T @ inv_root for k in chan.kraus]
+            assert np.array_equal(rec.channel.kraus, want)
+
     def test_trace_preserving_on_anchor_support(self):
         for t in range(15):
             rng = substream(515, t)
@@ -324,6 +358,11 @@ class TestPetzRecovery:
 
 
 class TestSufficiency:
+    def test_non_finite_rho_raises(self):
+        rho = np.full((2, 2), math.nan)
+        with pytest.raises(NonFiniteInput):
+            sufficiency_test(rho, random_density(2, 2, 1), identity_channel(2))
+
     def test_unitary_always_sufficient(self):
         rng = substream(516)
         u = random_unitary(3, rng)

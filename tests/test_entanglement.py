@@ -25,7 +25,7 @@ from qrenyi.entanglement import (
     reof_minimize,
     saturating_state,
 )
-from qrenyi.errors import DimensionTooSmall
+from qrenyi.errors import DimensionTooSmall, NegativeEigenvalue
 from qrenyi.linalg import fidelity, max_abs, partial_trace, tensor
 from qrenyi.states import (
     BipartiteState,
@@ -355,6 +355,10 @@ class TestReofProperties:
 
 
 class TestEntanglementFidelity:
+    def test_non_positive_input_raises(self):
+        with pytest.raises(NegativeEigenvalue):
+            entanglement_fidelity(np.diag([2.0, -1.0]), identity_channel(2))
+
     def test_identity_channel(self):
         rng = substream(609)
         rho = random_density(3, 2, rng)
