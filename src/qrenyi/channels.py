@@ -21,10 +21,27 @@ from .linalg import (
     positive_spectrum,
     tensor,
 )
-from .states import _as_rng, _complex_gaussian, projector
+from .states import _as_rng, _complex_gaussian
 
 #: Allowed deviation of sum_k K_k^dag K_k from the identity.
 TP_TOL = 1e-9
+
+
+def _stacked(ops, what: str, square: bool = False) -> np.ndarray:
+    """Matrices of one shape as one complex ``(count, rows, cols)`` array;
+    ValueError for none, DimensionMismatch for mixed or (with ``square``)
+    non-square shapes, NonFiniteInput for a NaN or infinite entry."""
+    mats = [as_complex_matrix(m) for m in ops]
+    if not mats:
+        raise ValueError(f"need at least one {what}")
+    if len({m.shape for m in mats}) > 1:
+        raise DimensionMismatch(f"{what}s have inconsistent shapes")
+    if square and mats[0].shape[0] != mats[0].shape[1]:
+        raise DimensionMismatch(f"{what} of shape {mats[0].shape} is not square")
+    stack = np.stack(mats)
+    if not np.isfinite(stack).all():
+        raise NonFiniteInput(f"{what} has a NaN or infinite entry")
+    return stack
 
 
 class QuantumChannel:
@@ -40,14 +57,7 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus_ops, require_tp: bool = True):
-        ops = [as_complex_matrix(k) for k in kraus_ops]
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        if len({k.shape for k in ops}) > 1:
-            raise DimensionMismatch("Kraus operators have inconsistent shapes")
-        kraus = np.stack(ops)
-        if not np.isfinite(kraus).all():
-            raise NonFiniteInput("Kraus operator has a NaN or infinite entry")
+        kraus = _stacked(kraus_ops, "Kraus operator")
         kraus.flags.writeable = False
         self.kraus = kraus
         _, self.dim_out, self.dim_in = kraus.shape
@@ -73,25 +83,26 @@ class QuantumChannel:
         )
 
 
+def _operand(a, d: int, what: str, side: str) -> np.ndarray:
+    """``a`` as a complex matrix; DimensionMismatch unless it is d x d."""
+    m = as_complex_matrix(a)
+    if m.shape != (d, d):
+        raise DimensionMismatch(
+            f"{what} of shape {m.shape} does not match channel {side} {d}"
+        )
+    return m
+
+
 def apply(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Forward action ``sum_k K rho K^dag``."""
-    m = as_complex_matrix(rho)
-    if m.shape != (channel.dim_in, channel.dim_in):
-        raise DimensionMismatch(
-            f"state dim {m.shape[0]} does not match channel input {channel.dim_in}"
-        )
+    m = _operand(rho, channel.dim_in, "state", "input")
     k = channel.kraus
     return (k @ m @ k.conj().mT).sum(axis=0)
 
 
 def apply_adjoint(channel: QuantumChannel, y: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt adjoint ``sum_k K^dag Y K`` (a unital map)."""
-    m = as_complex_matrix(y)
-    if m.shape != (channel.dim_out, channel.dim_out):
-        raise DimensionMismatch(
-            f"observable dim {m.shape[0]} does not match channel output "
-            f"{channel.dim_out}"
-        )
+    m = _operand(y, channel.dim_out, "observable", "output")
     k = channel.kraus
     return (k.conj().mT @ m @ k).sum(axis=0)
 
@@ -103,63 +114,35 @@ def apply_adjoint(channel: QuantumChannel, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StinespringDilation:
-    """Unitary dilation of a channel.
+    """Stinespring isometry of a channel, ``rho -> tr_E(V rho V^dag)``.
 
-    The channel acts as ``rho -> tr_12(U (rho (x) tau) U^dag)`` on the
-    space H (x) H' (x) K, where ``tau = |ancilla><ancilla|`` lives on
-    H' (x) K and the output K survives the partial trace over the first
-    two factors.  ``isometry`` is ``U (1_H (x) |ancilla>)``.
+    ``isometry`` is ``V = sum_k |k>_E (x) K_k``: the Kraus stack reshaped to
+    ``(dim_env * dim_out, dim_in)``, environment index first, with
+    ``dim_env`` the Kraus count.
     """
 
-    ancilla_state: np.ndarray
-    unitary: np.ndarray
     isometry: np.ndarray
-    dim_h: int
-    dim_hp: int
-    dim_k: int
+    dim_env: int
+    dim_out: int
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action through the explicit dilation."""
-        tau = projector(self.ancilla_state)
-        big = tensor(as_complex_matrix(rho), tau)
-        evolved = self.unitary @ big @ self.unitary.conj().T
-        return partial_trace(evolved, self.dim_h * self.dim_hp, self.dim_k, keep="B")
+        """Channel action ``tr_E(V rho V^dag)``."""
+        v = self.isometry
+        m = _operand(rho, v.shape[1], "state", "input")
+        return partial_trace(v @ m @ v.conj().T, self.dim_env, self.dim_out, keep="B")
 
     def apply_adjoint(self, omega: np.ndarray) -> np.ndarray:
-        """Adjoint action ``V^dag (1 (x) omega) V`` through the isometry."""
-        lifted = tensor(np.eye(self.dim_h * self.dim_hp), as_complex_matrix(omega))
+        """Adjoint action ``V^dag (1_E (x) omega) V``."""
+        m = _operand(omega, self.dim_out, "observable", "output")
+        lifted = tensor(np.eye(self.dim_env), m)
         return self.isometry.conj().T @ lifted @ self.isometry
 
 
 def stinespring(channel: QuantumChannel) -> StinespringDilation:
-    """Dilate a channel to a unitary with a pure ancilla.
-
-    The isometry is the channel's Kraus stack reshaped, ``V psi = sum_k
-    |e_k> (x) K_k psi``, with the Kraus index embedded into H (x) H'; the unitary
-    extends V from the ancilla slice by an orthonormal basis of the
-    complement of its range, taken from one complete QR factorization of V.
-    """
-    d_h, d_k = channel.dim_in, channel.dim_out
-    m = len(channel.kraus)
-    d_hp = max(1, -(-m // d_h))  # ceil(m / d_h)
-    d_env = d_h * d_hp
-    n = d_env * d_k
-
-    v = np.zeros((n, d_h), dtype=np.complex128)
-    # slot |e_k>_{H x H'} (x) K_k: rows k * d_k .. k * d_k + d_k
-    v[: m * d_k] = channel.kraus.reshape(-1, d_h)
-
-    ancilla = np.zeros(d_hp * d_k, dtype=np.complex128)
-    ancilla[0] = 1.0
-
-    u = np.zeros((n, n), dtype=np.complex128)
-    # columns carrying |i>_H (x) |ancilla> map to V|i>
-    special = [i * (d_hp * d_k) for i in range(d_h)]
-    u[:, special] = v
-    rest = [j for j in range(n) if j not in special]
-    # the last n - d_h columns of Q span the orthogonal complement of range(V)
-    u[:, rest] = np.linalg.qr(v, mode="complete")[0][:, d_h:]
-    return StinespringDilation(ancilla, u, v, d_h, d_hp, d_k)
+    """The channel's Stinespring isometry, its Kraus stack reshaped."""
+    count, d_out, d_in = channel.kraus.shape
+    v = channel.kraus.reshape(count * d_out, d_in)
+    return StinespringDilation(v, count, d_out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +171,7 @@ def partial_trace_channel(dim_a: int, dim_b: int, keep: str = "A") -> QuantumCha
 
 def pinching_channel(projectors) -> QuantumChannel:
     """Block-diagonalizing channel ``rho -> sum_i P_i rho P_i``."""
-    p = QuantumChannel(projectors, require_tp=False).kraus
+    p = _stacked(projectors, "projector", square=True)
     if max_abs(p.sum(axis=0) - np.eye(p.shape[-1])) > TP_TOL:
         raise IncompleteResolution("projectors do not resolve the identity")
     if max_abs(p @ p - p) > 1e-8 or max_abs(p - p.conj().mT) > 1e-8:
@@ -230,14 +213,10 @@ def measurement_channel(povm) -> QuantumChannel:
 
     Raises NegativeEigenvalue when an element is not positive semidefinite.
     """
-    elements = [as_complex_matrix(m) for m in povm]
-    if not elements:
-        raise ValueError("need at least one POVM element")
-    d = elements[0].shape[0]
-    total = sum(elements)
-    if max_abs(total - np.eye(d)) > TP_TOL:
+    elements = _stacked(povm, "POVM element", square=True)
+    n_out, d, _ = elements.shape
+    if max_abs(elements.sum(axis=0) - np.eye(d)) > TP_TOL:
         raise IncompletePOVM("POVM elements do not sum to the identity")
-    n_out = len(elements)
     kraus = []
     for x, m in enumerate(elements):
         lams, vecs = positive_spectrum(m).supported()

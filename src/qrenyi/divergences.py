@@ -319,13 +319,15 @@ def f_alpha(h: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float) -> 
     is the trace functional, attained at :func:`h_hat`.  When the power sum
     exceeds the float range (alpha near 1) the value is ``-inf`` for
     alpha > 1 and ``+inf`` for alpha < 1; it is 0 for an H off supp(sigma).
+    rho is checked finite and Hermitian.
     """
     order = RenyiOrder(alpha)
+    rho_m = check_hermitian(rho)
     _, y = _sandwich(positive_spectrum(sigma), -order.gamma, as_complex_matrix(h))
     keep = y.support_mask()
     p = alpha / (alpha - 1.0)
     term = _exp2(_log2_trace_power(y.eigenvalues, p, keep)[0]) if keep.any() else 0.0
-    lead = float(np.trace(as_complex_matrix(rho) @ as_complex_matrix(h)).real)
+    lead = float(np.trace(rho_m @ as_complex_matrix(h)).real)
     return alpha * lead - (alpha - 1.0) * term
 
 
@@ -490,9 +492,9 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     norm, after ``_FP_MAX_ITER`` steps, or when damping falls below 1e-3;
     the best iterate is returned.
 
-    The input state is checked once (finite, Hermitian), and only its
-    marginal rho_B is decomposed through the checked and phased
-    :func:`positive_spectrum`.  The sandwich, the plain or damped candidate
+    The input state and its marginal rho_B are each decomposed once
+    through the checked :func:`positive_spectrum` (finite, Hermitian,
+    positive semidefinite).  The sandwich, the plain or damped candidate
     and the Anderson candidate are operators the loop forms from the
     checked state, so they are decomposed bare (no check, no phase
     convention); every later use of those spectra is phase-invariant.
@@ -506,7 +508,7 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     rho_ab = state.mat
     # BipartiteState checks only the shape; the loop's own operators are
     # formed from rho_AB and decomposed unchecked, so it is checked here
-    check_hermitian(rho_ab)
+    positive_spectrum(rho_ab)
     dim_a, dim_b = state.dim_a, state.dim_b
 
     spec_b = positive_spectrum(rho_b)

@@ -146,11 +146,11 @@ def equality_residual_stinespring(
     alpha: float,
     eq_tol: float = EQ_TOL,
 ) -> EqualityCertificate:
-    """Same certificate computed through the explicit unitary dilation.
+    """Same certificate computed through the Stinespring isometry V.
 
-    Channel outputs come from conjugating by the dilation unitary and
-    tracing, and the adjoint from the isometry; kept as a cross-check for
-    the Kraus route.
+    Channel outputs are ``tr_E(V rho V^dag)`` and the pull-back is
+    ``V^dag (1_E (x) omega) V``; kept as a cross-check of the Kraus route,
+    of V's environment-first layout and of the partial trace over E.
     """
     dil = stinespring(channel)
     return _certified(dil.apply, dil.apply_adjoint, rho, sigma, alpha, eq_tol)

@@ -19,10 +19,11 @@ from .divergences import (
 )
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
 from .linalg import (
-    as_complex_matrix,
-    fidelity,
+    _root_fidelity,
+    check_hermitian,
     hermitian_eig,
     hermitian_part,
+    matrix_power_on_support,
     max_abs,
     minimize,
     positive_spectrum,
@@ -224,10 +225,11 @@ def reof_minimize(
     L-BFGS-B gets the exact gradient with each value, from the two SVDs an
     evaluation does: the entropy's slope in each member's Schmidt
     coefficients goes back through the members' SVD, then the mixing, then
-    the polar factor's adjoint.
+    the polar factor's adjoint.  Raises NegativeEigenvalue when the state
+    is not positive semidefinite.
     """
     check_reof_options(alpha, ensemble_size, restarts)
-    lam, vecs = hermitian_eig(state.mat).supported()
+    lam, vecs = positive_spectrum(state.mat).supported()
     lam, vecs = lam[::-1], vecs[:, ::-1]
     r = lam.size
     m = ensemble_size if ensemble_size is not None else min(r * r, 16)
@@ -312,7 +314,11 @@ def entanglement_fidelity(rho: np.ndarray, channel: QuantumChannel) -> float:
     every purification of rho.  Raises NegativeEigenvalue when rho is not
     positive semidefinite.
     """
-    rho_m = check_positive(rho)
+    return _entanglement_fidelity(check_positive(rho), channel)
+
+
+def _entanglement_fidelity(rho_m: np.ndarray, channel: QuantumChannel) -> float:
+    """:func:`entanglement_fidelity` of an already checked rho."""
     d = rho_m.shape[0]
     if channel.dim_in != d or channel.dim_out != d:
         raise DimensionMismatch("channel must act on the state's space")
@@ -324,10 +330,13 @@ def fe_equality_check(rho: np.ndarray, channel: QuantumChannel) -> FeEqualityRep
     """Compare the entanglement fidelity against the fidelity-squared bound.
 
     The bound is tight exactly on pure states; mixed inputs give a
-    strictly positive gap.
+    strictly positive gap.  rho is decomposed once: its checked spectrum
+    gives the rank and the square root.
     """
-    rho_m = as_complex_matrix(rho)
-    f_sq = fidelity(rho_m, apply(channel, rho_m)) ** 2
-    f_e = entanglement_fidelity(rho_m, channel)
-    rank = hermitian_eig(rho_m).supported()[0].size
+    rho_m = check_hermitian(rho)
+    spec = positive_spectrum(rho_m)
+    f_e = _entanglement_fidelity(rho_m, channel)
+    sqrt_out = matrix_power_on_support(apply(channel, rho_m), 0.5)
+    f_sq = _root_fidelity(spec.on_support(lambda lam: lam**0.5), sqrt_out) ** 2
+    rank = int(np.sum(spec.support_mask()))
     return FeEqualityReport(f_sq - f_e, rank == 1, f_e, f_sq)

@@ -257,7 +257,12 @@ def fidelity(omega: np.ndarray, tau: np.ndarray) -> float:
         raise DimensionMismatch(f"shape mismatch {w.shape} vs {t.shape}")
     sw = matrix_power_on_support(w, 0.5)
     st = matrix_power_on_support(t, 0.5)
-    val = trace_norm(sw @ st)
+    return _root_fidelity(sw, st)
+
+
+def _root_fidelity(sqrt_omega: np.ndarray, sqrt_tau: np.ndarray) -> float:
+    """:func:`fidelity` from the two square roots, clamped to [0, 1]."""
+    val = trace_norm(sqrt_omega @ sqrt_tau)
     return float(min(max(val, 0.0), 1.0))
 
 

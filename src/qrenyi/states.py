@@ -10,7 +10,6 @@ from .errors import DimensionMismatch
 from .linalg import (
     as_complex_matrix,
     check_hermitian,
-    hermitian_eig,
     hermitian_part,
     partial_trace,
     positive_spectrum,
@@ -127,9 +126,10 @@ def purify(rho: np.ndarray):
     Returns ``(psi, r)`` where ``psi`` is a unit vector on H (x) H' with
     ``r = dim(H') = rank(rho)``, built as ``sum_i sqrt(l_i) |v_i> (x) |i>``
     over the supported eigenpairs in descending eigenvalue order.  Tracing
-    out H' recovers ``rho``.
+    out H' recovers ``rho``.  Raises NegativeEigenvalue when rho is not
+    positive semidefinite.
     """
-    lam, vecs = hermitian_eig(rho).supported()
+    lam, vecs = positive_spectrum(rho).supported()
     psi = (vecs[:, ::-1] * np.sqrt(lam[::-1])).reshape(-1)
     return psi, lam.size
 

@@ -272,7 +272,12 @@ def run_equality_certificate(
 def run_stinespring_agreement(
     failures, tols, seed: int = 3, trials: int = 100, dims: int = 3
 ) -> dict:
-    """Kraus-adjoint and dilation routes produce the same certificate."""
+    """Kraus and Stinespring-isometry routes produce the same certificate.
+
+    The forward map through V forms each ``K_k rho K_k^dag`` as a diagonal
+    block of one product, so on it the suite checks V's environment-first
+    layout and the partial trace over E; the adjoint ``V^dag (1_E (x)
+    omega) V`` is the part computed with different arithmetic."""
     worst = 0.0
     for t in range(trials):
         rng = substream(seed, t)

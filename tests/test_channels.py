@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ class TestStinespring:
             ]
         )
         dil = stinespring(chan)
-        assert dil.dim_hp * dil.dim_k >= 2
+        assert dil.dim_env == 2
         rho = random_density(2, 2, rng)
         assert max_abs(dil.apply(rho) - apply(chan, rho)) < 1e-10
 
@@ -168,19 +170,31 @@ class TestStinespring:
             rng = substream(304, t)
             chan = _random_valid_channel(rng, dmax=4)
             dil = stinespring(chan)
-            n = dil.unitary.shape[0]
-            assert max_abs(dil.unitary.conj().T @ dil.unitary - np.eye(n)) < 1e-9
             v = dil.isometry
             assert max_abs(v.conj().T @ v - np.eye(chan.dim_in)) < 1e-9
             rho = random_density(chan.dim_in, chan.dim_in, rng)
-            assert max_abs(dil.apply(rho) - apply(chan, rho)) < 1e-9
-            # isometry route: trace the first two factors of V rho V^dag
+            assert max_abs(dil.apply(rho) - apply(chan, rho)) < 1e-12
+            # isometry route: trace the environment factor of V rho V^dag
             lifted = v @ rho @ v.conj().T
-            env = dil.dim_h * dil.dim_hp
-            direct = partial_trace(lifted, env, dil.dim_k, keep="B")
+            direct = partial_trace(lifted, dil.dim_env, dil.dim_out, keep="B")
             assert max_abs(direct - apply(chan, rho)) < 1e-9
             y = random_hermitian_from(rng, chan.dim_out)
-            assert max_abs(dil.apply_adjoint(y) - apply_adjoint(chan, y)) < 1e-9
+            assert max_abs(dil.apply_adjoint(y) - apply_adjoint(chan, y)) < 1e-12
+
+    def test_fields_are_the_isometry_and_its_factors(self):
+        chan = random_channel(3, 2, 4, 305)
+        dil = stinespring(chan)
+        names = [f.name for f in dataclasses.fields(dil)]
+        assert names == ["isometry", "dim_env", "dim_out"]
+        assert np.array_equal(dil.isometry, chan.kraus.reshape(-1, chan.dim_in))
+        assert (dil.dim_env, dil.dim_out) == (4, 2)
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["apply", "adjoint"])
+    def test_wrong_shape_raises_dimension_mismatch(self, adjoint):
+        dil = stinespring(amplitude_damping(0.3))
+        op = dil.apply_adjoint if adjoint else dil.apply
+        with pytest.raises(DimensionMismatch):
+            op(np.eye(3))
 
 
 class TestPinchingAndMeasurement:
@@ -299,8 +313,7 @@ class TestKrausArray:
             chan, count, _ = self._drawn(t)
             v = stinespring(chan).isometry
             rows = count * chan.dim_out
-            assert np.array_equal(v[:rows], chan.kraus.reshape(rows, chan.dim_in))
-            assert not v[rows:].any()
+            assert np.array_equal(v, chan.kraus.reshape(rows, chan.dim_in))
             assert chan.completeness_defect() < 1e-12
 
     @pytest.mark.parametrize("dim_a, dim_b", [(1, 3), (2, 3), (3, 2)])
@@ -331,4 +344,30 @@ class TestKrausArray:
     )
     def test_empty_constructors_raise_value_error(self, build):
         with pytest.raises(ValueError, match="need"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pinching_channel([np.ones((2, 3))]),
+            lambda: pinching_channel([np.eye(2), np.eye(3)]),
+            lambda: measurement_channel([np.eye(2), np.eye(3)]),
+            lambda: measurement_channel([np.ones((2, 3))]),
+        ],
+        ids=["pinching-non-square", "pinching-mixed", "povm-mixed", "povm-non-square"],
+    )
+    def test_constructor_shapes_raise_dimension_mismatch(self, build):
+        with pytest.raises(DimensionMismatch):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pinching_channel([np.diag([np.inf, 0.0]), np.diag([0.0, 1.0])]),
+            lambda: measurement_channel([np.diag([np.inf, 0.0]), np.diag([0.0, 1.0])]),
+        ],
+        ids=["pinching", "measurement"],
+    )
+    def test_constructor_non_finite_raises(self, build):
+        with pytest.raises(NonFiniteInput):
             build()

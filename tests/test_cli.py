@@ -180,12 +180,13 @@ class TestCommands:
             monkeypatch.setattr(cli, name, wrapped, raising=False)
 
         counted(dpi, "petz_recovery")
-        counted(entanglement, "entanglement_fidelity")
+        # the traces every entanglement-fidelity route computes
+        counted(entanglement, "_entanglement_fidelity")
         argv = ["--rho", rho, "--sigma", rho, "--channel", damp]
         assert _run(capsys, ["sufficiency"] + argv)[0] == EXIT_OK
         del argv[2:4]
         assert _run(capsys, ["entanglement-fidelity"] + argv)[0] == EXIT_OK
-        assert calls == ["petz_recovery", "entanglement_fidelity"]
+        assert calls == ["petz_recovery", "_entanglement_fidelity"]
 
     def test_conditional_entropy_bell(self, capsys, workdir):
         _, write = workdir

@@ -448,6 +448,18 @@ class TestVariational:
         assert f_alpha(np.zeros((3, 3), dtype=complex), rho, sig, 2.0) == 0.0
         assert 0.0 <= q_tilde(rho, sig, 2.0)
 
+    @pytest.mark.parametrize(
+        "rho, error",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], NonFiniteInput),
+            ([[1.0, 1.0], [0.0, 0.0]], NonHermitianInput),
+        ],
+        ids=["nan", "non-hermitian"],
+    )
+    def test_rho_is_checked(self, rho, error):
+        with pytest.raises(error):
+            f_alpha(np.eye(2), np.array(rho), maximally_mixed(2), 2.0)
+
     @pytest.mark.parametrize("alpha", [0.75, 1.01, 2.0])
     def test_commuting_closed_form(self, alpha):
         # diagonal inputs: f = a sum p h - (a-1) sum h^(a/(a-1)) q
@@ -639,7 +651,8 @@ class TestConditionalRenyi:
         self, monkeypatch, seed, d, rank, dim_b, alpha
     ):
         # one decomposition of the candidate sigma and one of the sandwich;
-        # the first is rho_B's, which also gives the rank guard its rank
+        # the first is rho_B's, which also gives the rank guard its rank;
+        # one more is rho_AB's own, the positivity check of the input
         import qrenyi.divergences as divergences
 
         steps = []
@@ -654,7 +667,7 @@ class TestConditionalRenyi:
         st = BipartiteState(rho, d // dim_b, dim_b)
         eighs = _count_eigh(monkeypatch)
         conditional_renyi(st, alpha)
-        assert 0 < len(eighs) <= 2 * len(steps)
+        assert 0 < len(eighs) <= 2 * len(steps) + 1
 
     def test_step_decomposes_the_sandwich_once(self, monkeypatch):
         from qrenyi.divergences import _fixed_point_step

@@ -40,7 +40,7 @@ from qrenyi.dpi import (
     petz_recovery,
     sufficiency_test,
 )
-from qrenyi.entanglement import check_saturation_conditions
+from qrenyi.entanglement import check_saturation_conditions, fe_equality_check
 from qrenyi.errors import (
     DisjointSupports,
     NegativeEigenvalue,
@@ -616,6 +616,13 @@ class TestSpectralReuse:
             (lambda r, s, ch: h_hat(r, s, 2.0), 3),
             (lambda r, s, ch: fidelity_attaining_povm(r, s), 3),
             (lambda r, s, ch: check_saturation_conditions(BipartiteState(r, 2, 2)), 3),
+            # rho once, N(rho) once
+            (
+                lambda r, s, ch: fe_equality_check(
+                    random_density(2, 2, 1), amplitude_damping(0.3)
+                ),
+                2,
+            ),
         ],
         ids=[
             "srd",
@@ -631,6 +638,7 @@ class TestSpectralReuse:
             "h_hat",
             "fidelity_attaining_povm",
             "check_saturation_conditions",
+            "fe_equality_check",
         ],
     )
     def test_eigendecompositions_per_call(self, monkeypatch, op, expected):

@@ -422,3 +422,25 @@ class TestEntanglementFidelity:
             chan = random_channel(d, d, int(rng.integers(1, 4)), rng)
             rep = fe_equality_check(rho, chan)
             assert rep.bound_gap > 1e-4
+
+
+class TestNonPositiveState:
+    """A joint state with a negative eigenvalue raises, where the fixed
+    point, the minimizer and the purification would otherwise drop it."""
+
+    BAD = BipartiteState(np.diag([0.6, -0.1, 0.1, 0.4]).astype(complex), 2, 2)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda st: conditional_renyi(st, 2.0),
+            lambda st: conditional_renyi(st, 1.0),
+            lambda st: araki_lieb_renyi(st, 2.0),
+            lambda st: reof_minimize(st, 2.0, restarts=0),
+            lambda st: purify(st.mat),
+        ],
+        ids=["conditional_renyi", "order_1", "araki_lieb", "reof", "purify"],
+    )
+    def test_raises_negative_eigenvalue(self, op):
+        with pytest.raises(NegativeEigenvalue):
+            op(self.BAD)
