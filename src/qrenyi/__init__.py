@@ -65,7 +65,6 @@ from .entanglement import (
 )
 from .linalg import (
     Spectrum,
-    SupportInfo,
     fidelity,
     hermitian_eig,
     matrix_power_on_support,

@@ -13,9 +13,8 @@ from .errors import (
     NonFiniteInput,
 )
 from .linalg import (
+    _bare_eig,
     as_complex_matrix,
-    hermitian_part,
-    matrix_power_on_support,
     max_abs,
     partial_trace,
     positive_spectrum,
@@ -219,7 +218,7 @@ def measurement_channel(povm) -> QuantumChannel:
         raise IncompletePOVM("POVM elements do not sum to the identity")
     kraus = []
     for x, m in enumerate(elements):
-        lams, vecs = positive_spectrum(m).supported()
+        lams, vecs = positive_spectrum(m).phased().supported()
         for lam, vec in zip(lams, vecs.T):
             k = np.zeros((n_out, d), dtype=np.complex128)
             k[x, :] = np.sqrt(lam) * vec.conj()
@@ -238,6 +237,6 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, seed) -> Quantum
         )
     rng = _as_rng(seed)
     stack = _complex_gaussian(rng, (kraus_count * dim_out, dim_in))
-    gram = hermitian_part(stack.conj().T @ stack)
-    stack = stack @ matrix_power_on_support(gram, -0.5)
+    gram = _bare_eig(stack.conj().T @ stack)
+    stack = stack @ gram.on_support(lambda lam: lam**-0.5)
     return QuantumChannel(stack.reshape(kraus_count, dim_out, dim_in))

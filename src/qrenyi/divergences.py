@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AbsoluteContinuityViolation,
+    DimensionMismatch,
     DisjointSupports,
     NegativeEigenvalue,
     NonFiniteInput,
@@ -26,7 +27,6 @@ from .linalg import (
     Spectrum,
     _bare_eig,
     as_complex_matrix,
-    check_hermitian,
     hermitian_part,
     max_abs,
     # unused here, but kept bound: bench/tracer.py wraps ``divergences.minimize``
@@ -34,7 +34,7 @@ from .linalg import (
     minimize,  # noqa: F401
     positive_spectrum,
 )
-from .states import BipartiteState, purify
+from .states import BipartiteState, check_positive, purify
 
 #: Absolute tolerance for support-overlap classification.
 SUPPORT_CLASSIFY_TOL = 1e-9
@@ -115,11 +115,11 @@ def _classified_spectra(rho, sigma):
 
 
 def _sandwich(sigma_spec: Spectrum, p: float, m: np.ndarray):
-    """``(s, spectrum of s m s)`` with ``s = sigma^p`` on supp(sigma), from
-    sigma's spectrum.  The one place the sandwiched operator is formed;
-    its spectrum is checked positive.  Works per pair on stacks."""
+    """``(s, bare spectrum of s m s)`` with ``s = sigma^p`` on supp(sigma),
+    from sigma's spectrum; per pair on stacks.  The conditional-entropy
+    fixed point forms its own sandwich blockwise."""
     s = sigma_spec.on_support(lambda lam: lam**p)
-    return s, positive_spectrum(hermitian_part(s @ m @ s))
+    return s, _bare_eig(s @ m @ s)
 
 
 def _undefined(alpha: float, case):
@@ -319,15 +319,18 @@ def f_alpha(h: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float) -> 
     is the trace functional, attained at :func:`h_hat`.  When the power sum
     exceeds the float range (alpha near 1) the value is ``-inf`` for
     alpha > 1 and ``+inf`` for alpha < 1; it is 0 for an H off supp(sigma).
-    rho is checked finite and Hermitian.
+    H, rho and sigma are each checked positive, and must share one shape.
     """
     order = RenyiOrder(alpha)
-    rho_m = check_hermitian(rho)
-    _, y = _sandwich(positive_spectrum(sigma), -order.gamma, as_complex_matrix(h))
+    h_m, rho_m = check_positive(h), check_positive(rho)
+    spec_sig = positive_spectrum(sigma)
+    if not h_m.shape == rho_m.shape == spec_sig.eigenvectors.shape:
+        raise DimensionMismatch("H, rho and sigma differ in shape")
+    _, y = _sandwich(spec_sig, -order.gamma, h_m)
     keep = y.support_mask()
     p = alpha / (alpha - 1.0)
     term = _exp2(_log2_trace_power(y.eigenvalues, p, keep)[0]) if keep.any() else 0.0
-    lead = float(np.trace(rho_m @ as_complex_matrix(h)).real)
+    lead = float(np.trace(rho_m @ h_m).real)
     return alpha * lead - (alpha - 1.0) * term
 
 

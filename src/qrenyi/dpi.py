@@ -23,9 +23,10 @@ from .divergences import (
 )
 from .errors import DimensionMismatch
 from .linalg import (
+    _bare_eig,
+    _psd_floor,
     as_complex_matrix,
     check_hermitian,
-    hermitian_eig,
     hermitian_part,
     matrix_power_on_support,
     max_abs,
@@ -33,7 +34,7 @@ from .linalg import (
     positive_spectrum,
     tensor,
 )
-from .states import _complex_gaussian, projector, substream
+from .states import _complex_gaussian, check_positive, projector, substream
 
 #: Relative threshold on the operator residual of the equality certificate.
 EQ_TOL = 1e-7
@@ -110,7 +111,8 @@ def _certified(forward, adjoint, rho, sigma, alpha, eq_tol) -> EqualityCertifica
     (rho, sigma) against that of (forward(rho), forward(sigma)) pulled back
     by ``adjoint``.  The outputs need no support check: a channel keeps
     supp(rho) inside supp(sigma), and since fidelity does not decrease
-    under a channel, overlapping supports stay overlapping.  ValueError
+    under a channel, overlapping supports stay overlapping; and a channel
+    keeps them positive, so forward(sigma) is decomposed bare.  ValueError
     for an ``eq_tol`` that is not finite and >= 0, which would fix the
     verdict whatever the residual."""
     if not 0.0 <= eq_tol < math.inf:
@@ -118,7 +120,7 @@ def _certified(forward, adjoint, rho, sigma, alpha, eq_tol) -> EqualityCertifica
     _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
     lhs_op = _critical_observable(rho, spec_sig, alpha)
-    out_spec = positive_spectrum(forward(sigma))
+    out_spec = _bare_eig(forward(sigma))
     rhs_op = adjoint(_critical_observable(forward(rho), out_spec, alpha))
     residual = max_abs(lhs_op - rhs_op)
     scale = max(1.0, max_abs(lhs_op))
@@ -184,14 +186,15 @@ def petz_recovery(sigma: np.ndarray, channel: QuantumChannel) -> RecoveryMap:
 
     Kraus operators are ``sigma^1/2 K^dag L(sigma)^-1/2`` (inverse taken on
     the support of the output anchor); the map is trace-preserving on that
-    support and reverses the channel on sigma.
+    support and reverses the channel on sigma.  The output anchor, formed
+    from the checked sigma, is decomposed bare.
     """
     sig = as_complex_matrix(sigma)
     if sig.shape != (channel.dim_in, channel.dim_in):
         raise DimensionMismatch("sigma does not match the channel input")
     sqrt_sig = matrix_power_on_support(sig, 0.5)
     out = apply(channel, sig)
-    inv_sqrt_out = matrix_power_on_support(out, -0.5)
+    inv_sqrt_out = _bare_eig(out).on_support(lambda lam: lam**-0.5)
     kraus = sqrt_sig @ channel.kraus.conj().mT @ inv_sqrt_out
     rec = QuantumChannel(kraus, require_tp=False)
     return RecoveryMap(rec, sig, channel)
@@ -206,9 +209,9 @@ def sufficiency_test(
 
 def _recovery_error(rho, sigma, channel) -> float:
     """Max-entry distance between rho and its image under the channel
-    followed by the sigma-anchored recovery map; rho is checked finite and
-    Hermitian."""
-    rho_m = check_hermitian(rho)
+    followed by the sigma-anchored recovery map; rho is checked finite,
+    Hermitian and positive semidefinite."""
+    rho_m = check_positive(rho)
     rec = petz_recovery(sigma, channel)
     return max_abs(apply(rec.channel, apply(channel, rho_m)) - rho_m)
 
@@ -366,13 +369,15 @@ def fidelity_attaining_povm(rho: np.ndarray, sigma: np.ndarray):
     & Caves 1995) that keeps ker(sigma) apart, in any dimension.  Returns
     ``(povm, classical_fid)``, where ``classical_fid`` is the fidelity of
     the outcome distributions of rho and sigma and matches F(rho, sigma).
+    The inputs are checked as :func:`fuchs_caves_observable` checks them;
+    the projectors are blind to phases, so the observable is decomposed bare.
     """
-    rho_m = as_complex_matrix(rho)
+    rho_m = check_hermitian(rho)
     sig_m = as_complex_matrix(sigma)
-    # -1 on ker(sigma) keeps kernel vectors out of the eigenspaces on the support
     spec = positive_spectrum(sig_m)
+    # -1 on ker(sigma) keeps kernel vectors out of the eigenspaces on the support
     shift = spec.reconstruct(np.where(spec.support_mask(), 0.0, -1.0))
-    vecs = hermitian_eig(_fuchs_caves(rho_m, spec) + shift).eigenvectors
+    vecs = _bare_eig(_fuchs_caves(rho_m, spec) + shift).eigenvectors
     povm = [projector(v) for v in vecs.T]
     p = [np.trace(m @ rho_m).real for m in povm]
     q = [np.trace(m @ sig_m).real for m in povm]
@@ -384,14 +389,16 @@ def fuchs_caves_observable(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
     ``sigma^-1/2 (sigma^1/2 rho sigma^1/2)^1/2 sigma^-1/2``; measuring in
     its eigenbasis reproduces F(rho, sigma) classically, which is how
-    :func:`fidelity_attaining_povm` builds its measurement.
+    :func:`fidelity_attaining_povm` builds its measurement.  rho is checked
+    positive where the observable reads it, on supp(sigma).
     """
-    return _fuchs_caves(rho, positive_spectrum(sigma))
+    return _fuchs_caves(check_hermitian(rho), positive_spectrum(sigma))
 
 
 def _fuchs_caves(rho: np.ndarray, sigma_spec) -> np.ndarray:
-    """:func:`fuchs_caves_observable` on an already decomposed sigma."""
-    _, x = _sandwich(sigma_spec, 0.5, rho)
+    """:func:`fuchs_caves_observable` on a Hermitian rho and a decomposed
+    sigma; the sandwich's floor is rho's positivity check."""
+    x = _psd_floor(_sandwich(sigma_spec, 0.5, rho)[1])
     isq = sigma_spec.on_support(lambda lam: lam**-0.5)
     return hermitian_part(isq @ x.on_support(lambda lam: lam**0.5) @ isq)
 

@@ -19,11 +19,11 @@ from .divergences import (
 )
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
 from .linalg import (
+    _bare_eig,
+    _psd_floor,
     _root_fidelity,
     check_hermitian,
-    hermitian_eig,
     hermitian_part,
-    matrix_power_on_support,
     max_abs,
     minimize,
     positive_spectrum,
@@ -108,7 +108,7 @@ def araki_lieb_renyi(state: BipartiteState, alpha: float) -> ArakiLiebReport:
     if alpha < 0.5:
         raise ValueError("alpha must be >= 1/2")
     beta = 1.0 if alpha == 1.0 else RenyiOrder(alpha).dual_beta
-    spec_a = hermitian_eig(state.marginal_a())
+    spec_a = positive_spectrum(state.marginal_a())
     lam_a, keep = spec_a.eigenvalues, spec_a.support_mask()
     value, _ = conditional_renyi(state, alpha)
     upper = float(_spectrum_entropy(lam_a, alpha, keep))
@@ -154,7 +154,7 @@ def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
     spec = positive_spectrum(state.mat)
     rho_a = state.marginal_a()
     r_ab = int(np.sum(spec.support_mask()))
-    rank_ok = support_of(state.marginal_b()).rank == support_of(rho_a).rank * r_ab
+    rank_ok = support_of(state.marginal_b()) == support_of(rho_a) * r_ab
     _, vecs = spec.supported()
     t = vecs.reshape(state.dim_a, state.dim_b, -1)
     cross = np.einsum("abi,cbj->ijac", t, t.conj())
@@ -229,7 +229,8 @@ def reof_minimize(
     is not positive semidefinite.
     """
     check_reof_options(alpha, ensemble_size, restarts)
-    lam, vecs = positive_spectrum(state.mat).supported()
+    # phased, so the ensemble handed out is deterministic
+    lam, vecs = positive_spectrum(state.mat).phased().supported()
     lam, vecs = lam[::-1], vecs[:, ::-1]
     r = lam.size
     m = ensemble_size if ensemble_size is not None else min(r * r, 16)
@@ -330,13 +331,13 @@ def fe_equality_check(rho: np.ndarray, channel: QuantumChannel) -> FeEqualityRep
     """Compare the entanglement fidelity against the fidelity-squared bound.
 
     The bound is tight exactly on pure states; mixed inputs give a
-    strictly positive gap.  rho is decomposed once: its checked spectrum
-    gives the rank and the square root.
+    strictly positive gap.  rho is checked and decomposed once: its
+    spectrum gives the rank and the square root; N(rho) is decomposed bare.
     """
     rho_m = check_hermitian(rho)
-    spec = positive_spectrum(rho_m)
+    spec = _psd_floor(_bare_eig(rho_m))
     f_e = _entanglement_fidelity(rho_m, channel)
-    sqrt_out = matrix_power_on_support(apply(channel, rho_m), 0.5)
+    sqrt_out = _bare_eig(apply(channel, rho_m)).on_support(lambda lam: lam**0.5)
     f_sq = _root_fidelity(spec.on_support(lambda lam: lam**0.5), sqrt_out) ** 2
     rank = int(np.sum(spec.support_mask()))
     return FeEqualityReport(f_sq - f_e, rank == 1, f_e, f_sq)

@@ -5,6 +5,17 @@ Everything here operates on plain ``numpy.ndarray`` values of dtype
 evaluated spectrally and restricted to the support of the operator, with a
 relative eigenvalue cutoff separating "zero" from "nonzero" modes.
 
+One rule for every decomposition.  The matrices a call must validate (each
+caller's matrix argument, the marginals of a caller's state, and every pair
+that ``divergences._classified_spectra`` classifies) are checked once: by
+:func:`positive_spectrum` (finite, Hermitian, the negative floor), or by
+:func:`check_hermitian` alone where no spectrum is needed.  An operator the
+library forms from checked input only to take a function of it goes
+through :func:`_bare_eig`, with no check.  Eigenvectors are phased
+(:meth:`Spectrum.phased`) only where they leave the library:
+:func:`hermitian_eig`, ``states.purify``, ``channels.measurement_channel``
+and ``entanglement.reof_minimize``'s ensemble.
+
 Index convention: tensor products are A-major (``kron(A, B)`` row-major),
 and all partial traces assume that layout.
 """
@@ -72,14 +83,17 @@ class Spectrum:
         vals[keep] = fn(self.eigenvalues[keep])
         return hermitian_part(self.reconstruct(vals))
 
-
-@dataclass(frozen=True)
-class SupportInfo:
-    """Numerical support of a positive semidefinite operator."""
-
-    rank: int
-    projector: np.ndarray
-    cutoff_used: float
+    def phased(self) -> "Spectrum":
+        """This decomposition with each eigenvector's largest-magnitude
+        entry made real positive: deterministic eigenvectors to hand out."""
+        v = self.eigenvectors
+        if v.size:
+            rows = np.argmax(np.abs(v), axis=-2)
+            # the columns of all matrices as rows of one 2-D array
+            cols = v.mT.reshape(-1, v.shape[-1])
+            anchors = cols[np.arange(rows.size), rows.ravel()].reshape(rows.shape)
+            v = v * (anchors.conjugate() / np.abs(anchors))[..., None, :]
+        return Spectrum(self.eigenvalues, v)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -130,49 +144,25 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
 
 def _bare_eig(h: np.ndarray) -> Spectrum:
     """LAPACK ``eigh`` of a Hermitian matrix, or of each of a stack, and
-    nothing else: the package's one eigensolver call.
-
-    For operators the library formed itself from already checked input.
-    There is no finiteness or hermiticity check (LAPACK reads the lower
-    triangle) and no phase convention, so the eigenvectors carry whatever
-    phases LAPACK returns: use the result only in phase-invariant ways,
-    such as the eigenvalues, ``support_mask`` and ``reconstruct``.
+    nothing else: the package's one eigensolver call, bare for operators
+    formed from checked input.  LAPACK reads the lower triangle, and the
+    eigenvectors carry its phases, so use the result only in
+    phase-invariant ways (eigenvalues, ``support_mask``, ``reconstruct``).
     """
     return Spectrum(*np.linalg.eigh(h))
 
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a complex Hermitian matrix, or of each matrix
-    of a stack ``(..., d, d)``, by LAPACK ``eigh``; the checked and phased
-    decomposition of the public boundary.
-
-    The input is checked (finite, Hermitian) and symmetrized first.
-    Eigenvalues are returned ascending; each eigenvector is phased so its
-    largest-magnitude entry is real positive, which makes the decomposition
-    deterministic.  Inside the conditional-entropy fixed point the library
-    decomposes its own operators with the unchecked, unphased
-    :func:`_bare_eig` instead.
-    """
-    spec = _bare_eig(check_hermitian(h))
-    v = spec.eigenvectors
-    # Deterministic phases: largest-magnitude entry of each column real > 0.
-    if v.size:
-        rows = np.argmax(np.abs(v), axis=-2)
-        # the columns of all matrices as rows of one 2-D array
-        cols = v.mT.reshape(-1, v.shape[-1])
-        anchors = cols[np.arange(rows.size), rows.ravel()].reshape(rows.shape)
-        v = v * (anchors.conjugate() / np.abs(anchors))[..., None, :]
-    return Spectrum(spec.eigenvalues, v)
+    """Checked (finite, Hermitian, then symmetrized) eigendecomposition of
+    a matrix, or of each matrix of a stack ``(..., d, d)``, with ascending
+    eigenvalues and :meth:`Spectrum.phased` eigenvectors."""
+    return _bare_eig(check_hermitian(h)).phased()
 
 
-def positive_spectrum(a: np.ndarray) -> Spectrum:
-    """:func:`hermitian_eig` of a positive semidefinite operator, or of each
-    operator of a stack.
-
-    Eigenvalues down to ``-SUPPORT_CUTOFF * max(1, |lambda|_max)`` count as
-    roundoff of 0; anything below that floor raises NegativeEigenvalue.
-    """
-    spec = hermitian_eig(a)
+def _psd_floor(spec: Spectrum) -> Spectrum:
+    """``spec``; NegativeEigenvalue for an eigenvalue below the floor
+    ``-SUPPORT_CUTOFF * max(1, |lambda|_max)`` (roundoff of 0 above it),
+    per matrix on stacks."""
     ev = spec.eigenvalues
     # every floor lies at or below -SUPPORT_CUTOFF
     if ev.min(initial=0.0) < -SUPPORT_CUTOFF:
@@ -187,18 +177,16 @@ def positive_spectrum(a: np.ndarray) -> Spectrum:
     return spec
 
 
-def support_of(a: np.ndarray) -> SupportInfo:
-    """Support projector of a positive semidefinite operator.
+def positive_spectrum(a: np.ndarray) -> Spectrum:
+    """Eigendecomposition of a positive semidefinite operator, or of each
+    of a stack, checked finite, Hermitian and above the :func:`_psd_floor`."""
+    return _psd_floor(_bare_eig(check_hermitian(a)))
 
-    Eigenvalues above :func:`support_threshold` count towards the
-    rank; anything between the :func:`positive_spectrum` floor and the
-    threshold is treated as zero, and eigenvalues below that floor raise
-    NegativeEigenvalue.
-    """
-    spec = positive_spectrum(a)
-    projector = spec.on_support(np.ones_like)
-    rank = int(np.sum(spec.support_mask()))
-    return SupportInfo(rank, projector, float(support_threshold(spec.eigenvalues)))
+
+def support_of(a: np.ndarray) -> int:
+    """Rank of a positive semidefinite operator: its eigenvalues above
+    :func:`support_threshold`, from :func:`positive_spectrum`."""
+    return int(np.sum(positive_spectrum(a).support_mask()))
 
 
 def matrix_power_on_support(a: np.ndarray, p: float) -> np.ndarray:

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import (
+    _bare_eig,
+    _psd_floor,
     as_complex_matrix,
     check_hermitian,
     hermitian_part,
@@ -41,7 +43,7 @@ def _as_rng(seed) -> np.random.Generator:
 def check_positive(a: np.ndarray) -> np.ndarray:
     """Validate positive semidefiniteness (up to roundoff) and symmetrize."""
     m = check_hermitian(a)
-    positive_spectrum(m)
+    _psd_floor(_bare_eig(m))
     return m
 
 
@@ -108,9 +110,9 @@ class RankProfile:
 
 
 def rank_profile(state: BipartiteState) -> RankProfile:
-    r_ab = support_of(state.mat).rank
-    r_a = support_of(state.marginal_a()).rank
-    r_b = support_of(state.marginal_b()).rank
+    r_ab = support_of(state.mat)
+    r_a = support_of(state.marginal_a())
+    r_b = support_of(state.marginal_b())
     return RankProfile(r_ab, r_a, r_b)
 
 
@@ -126,10 +128,10 @@ def purify(rho: np.ndarray):
     Returns ``(psi, r)`` where ``psi`` is a unit vector on H (x) H' with
     ``r = dim(H') = rank(rho)``, built as ``sum_i sqrt(l_i) |v_i> (x) |i>``
     over the supported eigenpairs in descending eigenvalue order.  Tracing
-    out H' recovers ``rho``.  Raises NegativeEigenvalue when rho is not
-    positive semidefinite.
+    out H' recovers ``rho``; the phased eigenvectors make psi deterministic.
+    Raises NegativeEigenvalue when rho is not positive semidefinite.
     """
-    lam, vecs = positive_spectrum(rho).supported()
+    lam, vecs = positive_spectrum(rho).phased().supported()
     psi = (vecs[:, ::-1] * np.sqrt(lam[::-1])).reshape(-1)
     return psi, lam.size
 

@@ -1,4 +1,5 @@
 import os
+import sys
 
 # Pinned before numpy loads: the library decomposes tiny matrices, on which a
 # multi-threaded BLAS pool costs more time than it saves.
@@ -39,3 +40,29 @@ def random_psd_from(rng, d, rank=None, scale=1.0):
 @pytest.fixture
 def rng():
     return substream(20240)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` replaces ``owner.name`` for the test,
+    and every qrenyi module's binding of the same function, with a wrapper
+    that appends each call's positional arguments to the list it returns."""
+
+    def install(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "qrenyi":
+                continue
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, counting)
+        return calls
+
+    return install

@@ -562,19 +562,6 @@ class TestEntropies:
         assert abs(conditional_entropy(bell_state()) + 1.0) < 1e-10
 
 
-def _count_eigh(monkeypatch):
-    """A list that grows by one at each ``numpy.linalg.eigh`` call from now on."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return calls
-
-
 class TestConditionalRenyi:
     def test_rejects_small_alpha(self):
         with pytest.raises(ValueError):
@@ -625,19 +612,12 @@ class TestConditionalRenyi:
             assert abs(-achieved.value - value) < 1e-6
             assert classify_supports(st.marginal_b(), opt) == "contained"
 
-    def test_damped_iteration_keeps_its_anderson_step(self, monkeypatch):
+    def test_damped_iteration_keeps_its_anderson_step(self, count_calls):
         # the first full step on this state raises the value, so the iteration
         # is damped from then on; plain damped steps alone need > 2000 steps
         import qrenyi.divergences as divergences
 
-        calls = []
-        step = divergences._fixed_point_step
-
-        def counting_step(*args):
-            calls.append(1)
-            return step(*args)
-
-        monkeypatch.setattr(divergences, "_fixed_point_step", counting_step)
+        calls = count_calls(divergences, "_fixed_point_step")
         st = BipartiteState(random_density(6, 2, substream(933, 72)), 2, 3)
         value, _ = conditional_renyi(st, 3.0)
         assert len(calls) < 200
@@ -648,58 +628,39 @@ class TestConditionalRenyi:
         [((933, 72), 6, 2, 3, 3.0), ((424, 1), 4, 4, 2, 2.0)],
     )
     def test_decomposes_each_candidate_once(
-        self, monkeypatch, seed, d, rank, dim_b, alpha
+        self, count_calls, seed, d, rank, dim_b, alpha
     ):
         # one decomposition of the candidate sigma and one of the sandwich;
         # the first is rho_B's, which also gives the rank guard its rank;
         # one more is rho_AB's own, the positivity check of the input
         import qrenyi.divergences as divergences
 
-        steps = []
-        step = divergences._fixed_point_step
-
-        def counting_step(*args):
-            steps.append(1)
-            return step(*args)
-
-        monkeypatch.setattr(divergences, "_fixed_point_step", counting_step)
+        steps = count_calls(divergences, "_fixed_point_step")
         rho = random_density(d, rank, substream(*seed))
         st = BipartiteState(rho, d // dim_b, dim_b)
-        eighs = _count_eigh(monkeypatch)
+        eighs = count_calls(np.linalg, "eigh")
         conditional_renyi(st, alpha)
         assert 0 < len(eighs) <= 2 * len(steps) + 1
 
-    def test_step_decomposes_the_sandwich_once(self, monkeypatch):
+    def test_step_decomposes_the_sandwich_once(self, count_calls):
         from qrenyi.divergences import _fixed_point_step
 
         rng = substream(934)
         rho = random_density(6, 6, rng)
         sigma = hermitian_eig(random_density(3, 3, rng))
-        eighs = _count_eigh(monkeypatch)
+        eighs = count_calls(np.linalg, "eigh")
         value, nxt = _fixed_point_step(rho, 2, 3, sigma, RenyiOrder(2.0), 3)
         assert math.isfinite(value) and nxt.shape == (3, 3)
         assert len(eighs) == 1
 
-    def test_checks_only_the_inputs(self, monkeypatch):
+    def test_checks_only_the_inputs(self, count_calls):
         # the loop decomposes operators it formed itself from the checked
         # state, so check_hermitian sees rho_AB and rho_B once each
         import qrenyi.divergences as divergences
         import qrenyi.linalg as linalg
 
-        steps, checks = [], []
-        step, check = divergences._fixed_point_step, linalg.check_hermitian
-
-        def counting_step(*args):
-            steps.append(1)
-            return step(*args)
-
-        def counting_check(*args):
-            checks.append(1)
-            return check(*args)
-
-        monkeypatch.setattr(divergences, "_fixed_point_step", counting_step)
-        monkeypatch.setattr(divergences, "check_hermitian", counting_check)
-        monkeypatch.setattr(linalg, "check_hermitian", counting_check)
+        steps = count_calls(divergences, "_fixed_point_step")
+        checks = count_calls(linalg, "check_hermitian")
         st = BipartiteState(random_density(6, 2, substream(933, 72)), 2, 3)
         conditional_renyi(st, 3.0)
         assert len(steps) > 10
@@ -924,7 +885,7 @@ class TestConditionalRenyiProperties:
         rho = random_density(d, int(rng.integers(1, d + 1)), rng)
         k = dim_b if full_sigma else int(rng.integers(1, dim_b))
         sigma = random_density(dim_b, k, rng)
-        r = support_of(partial_trace(rho, dim_a, dim_b, "B")).rank
+        r = support_of(partial_trace(rho, dim_a, dim_b, "B"))
         value, nxt = _fixed_point_step(
             rho, dim_a, dim_b, hermitian_eig(sigma), RenyiOrder(alpha), r
         )

@@ -18,6 +18,7 @@ from qrenyi.channels import (
 from qrenyi.divergences import (
     classify_supports,
     d_max,
+    f_alpha,
     h_hat,
     q_tilde,
     qre,
@@ -40,7 +41,11 @@ from qrenyi.dpi import (
     petz_recovery,
     sufficiency_test,
 )
-from qrenyi.entanglement import check_saturation_conditions, fe_equality_check
+from qrenyi.entanglement import (
+    check_saturation_conditions,
+    entanglement_fidelity,
+    fe_equality_check,
+)
 from qrenyi.errors import (
     DisjointSupports,
     NegativeEigenvalue,
@@ -49,13 +54,20 @@ from qrenyi.errors import (
     SupportViolation,
 )
 from qrenyi.linalg import (
+    _bare_eig,
     fidelity,
     hermitian_eig,
     matrix_power_on_support,
     max_abs,
     tensor,
 )
-from qrenyi.states import BipartiteState, random_density, random_unitary, substream
+from qrenyi.states import (
+    BipartiteState,
+    check_density,
+    random_density,
+    random_unitary,
+    substream,
+)
 from qrenyi.suites import _constructed_equality_instance, _random_triple
 
 ALPHAS = (0.5, 0.75, 1.5, 2.0, 3.0)
@@ -338,7 +350,8 @@ class TestPetzRecovery:
             sig = random_density(chan.dim_in, int(rng.integers(1, chan.dim_in + 1)), rng)
             rec = petz_recovery(sig, chan)
             root = matrix_power_on_support(sig, 0.5)
-            inv_root = matrix_power_on_support(apply(chan, sig), -0.5)
+            # the output anchor is formed by the library, which decomposes it bare
+            inv_root = _bare_eig(apply(chan, sig)).on_support(lambda lam: lam**-0.5)
             want = [root @ k.conj().T @ inv_root for k in chan.kraus]
             assert np.array_equal(rec.channel.kraus, want)
 
@@ -460,15 +473,8 @@ class TestViolationSearch:
         rho, sig = _states_from_factors(*_draw_factors(seed, single.index(min(single))))
         assert np.array_equal(res.rho_ab, rho) and np.array_equal(res.sigma_ab, sig)
 
-    def test_sampling_decomposes_each_stack_once(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(None)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def test_sampling_decomposes_each_stack_once(self, count_calls):
+        calls = count_calls(np.linalg, "eigh")
         dpi_violation_search(0.3, 1000, 532, refine_steps=0)
         # rho, sigma and the sandwich on each side of the partial trace
         assert len(calls) == 6 * math.ceil(1000 / _SEARCH_BATCH)
@@ -641,20 +647,64 @@ class TestSpectralReuse:
             "fe_equality_check",
         ],
     )
-    def test_eigendecompositions_per_call(self, monkeypatch, op, expected):
+    def test_eigendecompositions_per_call(self, count_calls, op, expected):
         rho = random_density(4, 4, 611)
         sig = random_density(4, 4, 612)
         chan = partial_trace_channel(2, 2)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(None)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_calls(np.linalg, "eigh")
         op(rho, sig, chan)
         assert len(calls) == expected
+
+    @pytest.mark.parametrize(
+        "op, inputs, expected",
+        [
+            (lambda r, s, h, ch: srd(r, s, 2.0), "rs", 2),
+            # the output pair is classified as a pair of its own
+            (lambda r, s, h, ch: dpi_check(r, s, ch, 2.0), "rs", 4),
+            (lambda r, s, h, ch: equality_residual(r, s, ch, 2.0), "rs", 2),
+            (lambda r, s, h, ch: equality_residual_stinespring(r, s, ch, 2.0), "rs", 2),
+            (lambda r, s, h, ch: equality_residual_partial_trace(r, s, 2, 2, 2.0), "rs", 2),
+            (lambda r, s, h, ch: petz_recovery(s, ch), "s", 1),
+            (lambda r, s, h, ch: sufficiency_test(r, s, ch), "rs", 2),
+            (lambda r, s, h, ch: fe_equality_check(r, identity_channel(4)), "r", 1),
+            (lambda r, s, h, ch: entanglement_fidelity(r, identity_channel(4)), "r", 1),
+            (lambda r, s, h, ch: check_density(r), "r", 1),
+            (lambda r, s, h, ch: fidelity_attaining_povm(r, s), "rs", 2),
+            (lambda r, s, h, ch: f_alpha(h, r, s, 2.0), "hrs", 3),
+            (lambda r, s, h, ch: fuchs_caves_observable(r, s), "rs", 2),
+        ],
+        ids=[
+            "srd",
+            "dpi_check",
+            "equality_residual",
+            "equality_residual_stinespring",
+            "equality_residual_partial_trace",
+            "petz_recovery",
+            "sufficiency_test",
+            "fe_equality_check",
+            "entanglement_fidelity",
+            "check_density",
+            "fidelity_attaining_povm",
+            "f_alpha",
+            "fuchs_caves_observable",
+        ],
+    )
+    def test_checks_only_the_inputs(self, count_calls, op, inputs, expected):
+        # operators the call forms itself are decomposed bare, so
+        # check_hermitian sees each matrix argument once, and the pairs
+        # that are classified
+        import qrenyi.linalg as linalg
+
+        args = {
+            "r": random_density(4, 4, 611),
+            "s": random_density(4, 4, 612),
+            "h": random_density(4, 4, 614),
+        }
+        checks = count_calls(linalg, "check_hermitian")
+        op(args["r"], args["s"], args["h"], partial_trace_channel(2, 2))
+        assert len(checks) == expected
+        for name in inputs:
+            assert any(np.array_equal(c[0], args[name]) for c in checks), name
 
     @pytest.mark.parametrize(
         "op",

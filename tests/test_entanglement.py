@@ -243,17 +243,10 @@ class TestReofMinimize:
             )
             assert max_abs(ensemble.reconstruct() - explicit) < 1e-12
 
-    def test_one_eigendecomposition_per_call(self, monkeypatch):
+    def test_one_eigendecomposition_per_call(self, count_calls):
         # the state's own decomposition; the objective and the polar factor
         # run on singular values alone
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(None)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_calls(np.linalg, "eigh")
         reof_minimize(BipartiteState(random_density(4, 2, 616), 2, 2), 2.0, restarts=1)
         assert len(calls) == 1
 

@@ -100,7 +100,7 @@ class TestRandomStates:
         for rank in range(1, d + 1):
             rho = random_density(d, rank, 300 + rank)
             check_density(rho)
-            assert support_of(rho).rank == rank
+            assert support_of(rho) == rank
 
     def test_norm_is_one_any_seed(self):
         for seed in range(20):
