@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import (
     Spectrum,
     _bare_eig,
+    _checked_positive,
     as_complex_matrix,
     hermitian_part,
     max_abs,
@@ -93,16 +94,16 @@ class DivergenceValue:
 
 def classify_supports(rho: np.ndarray, sigma: np.ndarray) -> str:
     """Classify supp(rho) against supp(sigma): contained / overlapping / disjoint."""
-    return _classified_spectra(rho, sigma)[2]
+    return _classified_spectra(rho, sigma)[4]
 
 
 def _classified_spectra(rho, sigma):
-    """``(spectrum of rho, spectrum of sigma, support case, overlaps)``, both
-    spectra checked positive, so callers need not decompose rho or sigma
-    again; the overlaps ``c_ij = |<v_i|w_j>|^2`` of their eigenvectors are 0
+    """``(rho, sigma, their spectra, support case, overlaps)``, with rho and
+    sigma checked positive and symmetrized (callers form operators from
+    these); the overlaps ``c_ij = |<v_i|w_j>|^2`` of the eigenvectors are 0
     off the two supports.  On stacks of pairs the case is an array."""
-    spec_rho = positive_spectrum(rho)
-    spec_sig = positive_spectrum(sigma)
+    rho_m, spec_rho = _checked_positive(rho)
+    sig_m, spec_sig = _checked_positive(sigma)
     keep_rho, keep_sig = spec_rho.support_mask(), spec_sig.support_mask()
     # tr(P_rho P_sigma) and tr(P_rho) - tr(P_rho P_sigma) from the support bases
     cross = np.abs(spec_rho.eigenvectors.conj().mT @ spec_sig.eigenvectors) ** 2
@@ -110,14 +111,14 @@ def _classified_spectra(rho, sigma):
     overlap = np.add.reduce(cross, axis=(-2, -1), where=supports)
     leak = keep_rho.sum(axis=-1) - overlap
     code = (leak > SUPPORT_CLASSIFY_TOL) * (1 + (overlap <= SUPPORT_CLASSIFY_TOL))
-    case = _CASES[code]
-    return spec_rho, spec_sig, case if case.ndim else str(case), cross * supports
+    case = _CASES[code] if code.ndim else str(_CASES[code])
+    return rho_m, sig_m, spec_rho, spec_sig, case, cross * supports
 
 
 def _sandwich(sigma_spec: Spectrum, p: float, m: np.ndarray):
     """``(s, bare spectrum of s m s)`` with ``s = sigma^p`` on supp(sigma),
-    from sigma's spectrum; per pair on stacks.  The conditional-entropy
-    fixed point forms its own sandwich blockwise."""
+    from sigma's spectrum and a checked m; per pair on stacks.  The
+    conditional-entropy fixed point forms its own sandwich blockwise."""
     s = sigma_spec.on_support(lambda lam: lam**p)
     return s, _bare_eig(s @ m @ s)
 
@@ -199,9 +200,9 @@ def q_tilde(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     :func:`srd` does.
     """
     order = RenyiOrder(alpha)
-    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
+    rho_m, _, _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
-    x = _sandwich(spec_sig, order.gamma, rho)[1]
+    x = _sandwich(spec_sig, order.gamma, rho_m)[1]
     return _exp2(_log2_trace_power(x.eigenvalues, alpha, x.support_mask())[0])
 
 
@@ -225,13 +226,13 @@ def _srd_values(rho: np.ndarray, sigma: np.ndarray, alpha: float):
     stacks ``(..., d, d)`` of pairs; ``inf`` where the case leaves the
     functional undefined."""
     order = RenyiOrder(alpha)
-    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
+    rho_m, _, _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     undefined = _undefined(alpha, case)[..., None]
-    x = _sandwich(spec_sig, order.gamma, rho)[1]
+    x = _sandwich(spec_sig, order.gamma, rho_m)[1]
     # undefined pairs get a unit spectrum, so only defined ones can raise
     lam = np.where(undefined, 1.0, x.eigenvalues)
     log_q = _log2_trace_power(lam, alpha, x.support_mask() | undefined)[0]
-    tr_rho = rho.trace(axis1=-2, axis2=-1).real
+    tr_rho = rho_m.trace(axis1=-2, axis2=-1).real
     value = (log_q - _log2(tr_rho)) / (alpha - 1.0)
     return np.where(undefined[..., 0], math.inf, value), case
 
@@ -244,7 +245,7 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     if alpha == 1.0:
         return qre(rho, sigma)
     RenyiOrder(alpha)
-    spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
+    rho_m, _, spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
     if _undefined(alpha, case):
         return DivergenceValue(math.inf, case)
     _require_support(spec_rho.support_mask(), alpha)
@@ -255,7 +256,7 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     if not np.isfinite(logs).all():
         raise PrecisionLoss(f"log-domain terms overflow at alpha = {alpha}")
     log_q = float(np.logaddexp2.reduce(logs))
-    tr_rho = float(np.trace(as_complex_matrix(rho)).real)
+    tr_rho = float(np.trace(rho_m).real)
     return DivergenceValue((log_q - math.log2(tr_rho)) / (alpha - 1.0), case)
 
 
@@ -263,7 +264,7 @@ def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     """Relative entropy ``tr(rho (log rho - log sigma))`` in bits, as
     ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two spectra;
     PrecisionLoss for a rho with empty support."""
-    spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
+    _, _, spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
     lam, mu = spec_rho.eigenvalues, spec_sig.eigenvalues
@@ -279,11 +280,11 @@ def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
 def d_max(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
     """Max-relative entropy ``log lambda_max(sigma^-1/2 rho sigma^-1/2)``;
     PrecisionLoss for a rho with empty support."""
-    spec_rho, spec_sig, case, _ = _classified_spectra(rho, sigma)
+    rho_m, _, spec_rho, spec_sig, case, _ = _classified_spectra(rho, sigma)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
     _require_support(spec_rho.support_mask(), math.inf)
-    lam_max = float(np.max(_sandwich(spec_sig, -0.5, rho)[1].eigenvalues))
+    lam_max = float(np.max(_sandwich(spec_sig, -0.5, rho_m)[1].eigenvalues))
     return DivergenceValue(math.log2(lam_max), case)
 
 
@@ -337,15 +338,15 @@ def f_alpha(h: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float) -> 
 def h_hat(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> np.ndarray:
     """Critical observable ``sigma^g (sigma^g rho sigma^g)^(a-1) sigma^g``;
     raises where :func:`q_tilde` does."""
-    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
+    rho_m, _, _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
-    return _critical_observable(rho, spec_sig, alpha)
+    return _critical_observable(rho_m, spec_sig, alpha)
 
 
 def _critical_observable(
     rho: np.ndarray, sigma_spec: Spectrum, alpha: float
 ) -> np.ndarray:
-    """:func:`h_hat` on an already decomposed sigma, support case unchecked."""
+    """:func:`h_hat` on a checked rho and a decomposed sigma, case unchecked."""
     s_g, x = _sandwich(sigma_spec, RenyiOrder(alpha).gamma, rho)
     _require_support(x.support_mask(), alpha)
     core = x.on_support(lambda lam: lam ** (alpha - 1.0))
@@ -495,26 +496,24 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     norm, after ``_FP_MAX_ITER`` steps, or when damping falls below 1e-3;
     the best iterate is returned.
 
-    The input state and its marginal rho_B are each decomposed once
-    through the checked :func:`positive_spectrum` (finite, Hermitian,
-    positive semidefinite).  The sandwich, the plain or damped candidate
-    and the Anderson candidate are operators the loop forms from the
-    checked state, so they are decomposed bare (no check, no phase
-    convention); every later use of those spectra is phase-invariant.
+    The input state and its marginal rho_B are each checked once (finite,
+    Hermitian, positive semidefinite), and the loop works on the checked
+    matrices.  The sandwich, the plain or damped candidate and the
+    Anderson candidate are operators the loop forms from the checked
+    state, so they are decomposed bare (no check, no phase convention);
+    every later use of those spectra is phase-invariant.
     """
     if alpha < 0.5:
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
-    rho_b = state.marginal_b()
     if alpha == 1.0:
-        return conditional_entropy(state), rho_b
+        return conditional_entropy(state), state.marginal_b()
     order = RenyiOrder(alpha)
-    rho_ab = state.mat
     # BipartiteState checks only the shape; the loop's own operators are
     # formed from rho_AB and decomposed unchecked, so it is checked here
-    positive_spectrum(rho_ab)
+    rho_ab = check_positive(state.mat)
     dim_a, dim_b = state.dim_a, state.dim_b
 
-    spec_b = positive_spectrum(rho_b)
+    rho_b, spec_b = _checked_positive(state.marginal_b())
     r = int(np.sum(spec_b.support_mask()))
 
     def psd_state(m):

@@ -24,11 +24,11 @@ from .divergences import (
 from .errors import DimensionMismatch
 from .linalg import (
     _bare_eig,
+    _checked_positive,
     _psd_floor,
     as_complex_matrix,
     check_hermitian,
     hermitian_part,
-    matrix_power_on_support,
     max_abs,
     partial_trace,
     positive_spectrum,
@@ -112,16 +112,16 @@ def _certified(forward, adjoint, rho, sigma, alpha, eq_tol) -> EqualityCertifica
     by ``adjoint``.  The outputs need no support check: a channel keeps
     supp(rho) inside supp(sigma), and since fidelity does not decrease
     under a channel, overlapping supports stay overlapping; and a channel
-    keeps them positive, so forward(sigma) is decomposed bare.  ValueError
-    for an ``eq_tol`` that is not finite and >= 0, which would fix the
-    verdict whatever the residual."""
+    keeps them positive, so the image of the checked sigma is decomposed
+    bare.  ValueError for an ``eq_tol`` that is not finite and >= 0, which
+    would fix the verdict whatever the residual."""
     if not 0.0 <= eq_tol < math.inf:
         raise ValueError(f"eq_tol must be finite and >= 0, got {eq_tol}")
-    _, spec_sig, case, _ = _classified_spectra(rho, sigma)
+    rho_m, sig_m, _, spec_sig, case, _ = _classified_spectra(rho, sigma)
     _require_defined(alpha, case)
-    lhs_op = _critical_observable(rho, spec_sig, alpha)
-    out_spec = _bare_eig(forward(sigma))
-    rhs_op = adjoint(_critical_observable(forward(rho), out_spec, alpha))
+    lhs_op = _critical_observable(rho_m, spec_sig, alpha)
+    out_spec = _bare_eig(forward(sig_m))
+    rhs_op = adjoint(_critical_observable(forward(rho_m), out_spec, alpha))
     residual = max_abs(lhs_op - rhs_op)
     scale = max(1.0, max_abs(lhs_op))
     verdict = VERDICT_EQUAL if residual <= eq_tol * scale else VERDICT_NOT_EQUAL
@@ -192,7 +192,8 @@ def petz_recovery(sigma: np.ndarray, channel: QuantumChannel) -> RecoveryMap:
     sig = as_complex_matrix(sigma)
     if sig.shape != (channel.dim_in, channel.dim_in):
         raise DimensionMismatch("sigma does not match the channel input")
-    sqrt_sig = matrix_power_on_support(sig, 0.5)
+    sig, spec = _checked_positive(sig)
+    sqrt_sig = spec.on_support(lambda lam: lam**0.5)
     out = apply(channel, sig)
     inv_sqrt_out = _bare_eig(out).on_support(lambda lam: lam**-0.5)
     kraus = sqrt_sig @ channel.kraus.conj().mT @ inv_sqrt_out
@@ -373,8 +374,7 @@ def fidelity_attaining_povm(rho: np.ndarray, sigma: np.ndarray):
     the projectors are blind to phases, so the observable is decomposed bare.
     """
     rho_m = check_hermitian(rho)
-    sig_m = as_complex_matrix(sigma)
-    spec = positive_spectrum(sig_m)
+    sig_m, spec = _checked_positive(sigma)
     # -1 on ker(sigma) keeps kernel vectors out of the eigenspaces on the support
     shift = spec.reconstruct(np.where(spec.support_mask(), 0.0, -1.0))
     vecs = _bare_eig(_fuchs_caves(rho_m, spec) + shift).eigenvectors

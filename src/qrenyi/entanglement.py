@@ -20,9 +20,8 @@ from .divergences import (
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
 from .linalg import (
     _bare_eig,
-    _psd_floor,
+    _checked_positive,
     _root_fidelity,
-    check_hermitian,
     hermitian_part,
     max_abs,
     minimize,
@@ -334,8 +333,7 @@ def fe_equality_check(rho: np.ndarray, channel: QuantumChannel) -> FeEqualityRep
     strictly positive gap.  rho is checked and decomposed once: its
     spectrum gives the rank and the square root; N(rho) is decomposed bare.
     """
-    rho_m = check_hermitian(rho)
-    spec = _psd_floor(_bare_eig(rho_m))
+    rho_m, spec = _checked_positive(rho)
     f_e = _entanglement_fidelity(rho_m, channel)
     sqrt_out = _bare_eig(apply(channel, rho_m)).on_support(lambda lam: lam**0.5)
     f_sq = _root_fidelity(spec.on_support(lambda lam: lam**0.5), sqrt_out) ** 2

@@ -8,10 +8,11 @@ relative eigenvalue cutoff separating "zero" from "nonzero" modes.
 One rule for every decomposition.  The matrices a call must validate (each
 caller's matrix argument, the marginals of a caller's state, and every pair
 that ``divergences._classified_spectra`` classifies) are checked once: by
-:func:`positive_spectrum` (finite, Hermitian, the negative floor), or by
-:func:`check_hermitian` alone where no spectrum is needed.  An operator the
-library forms from checked input only to take a function of it goes
-through :func:`_bare_eig`, with no check.  Eigenvectors are phased
+:func:`_checked_positive` (finite, Hermitian, the negative floor), or by
+:func:`check_hermitian` alone where no spectrum is needed; both return the
+symmetrized matrix, never the raw one (LAPACK reads only its lower
+triangle).  What the library forms from it only to take a function of it
+goes through :func:`_bare_eig`, with no check.  Eigenvectors are phased
 (:meth:`Spectrum.phased`) only where they leave the library:
 :func:`hermitian_eig`, ``states.purify``, ``channels.measurement_channel``
 and ``entanglement.reof_minimize``'s ensemble.
@@ -177,10 +178,16 @@ def _psd_floor(spec: Spectrum) -> Spectrum:
     return spec
 
 
+def _checked_positive(a: np.ndarray):
+    """``(m, spectrum of m)``: ``a`` checked finite, Hermitian and above the
+    :func:`_psd_floor`, and ``m`` its symmetrized copy, to work on after."""
+    m = check_hermitian(a)
+    return m, _psd_floor(_bare_eig(m))
+
+
 def positive_spectrum(a: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a positive semidefinite operator, or of each
-    of a stack, checked finite, Hermitian and above the :func:`_psd_floor`."""
-    return _psd_floor(_bare_eig(check_hermitian(a)))
+    """The checked spectrum of :func:`_checked_positive`, per matrix on stacks."""
+    return _checked_positive(a)[1]
 
 
 def support_of(a: np.ndarray) -> int:

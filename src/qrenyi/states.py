@@ -8,10 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import (
-    _bare_eig,
-    _psd_floor,
+    _checked_positive,
     as_complex_matrix,
-    check_hermitian,
     hermitian_part,
     partial_trace,
     positive_spectrum,
@@ -42,9 +40,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 def check_positive(a: np.ndarray) -> np.ndarray:
     """Validate positive semidefiniteness (up to roundoff) and symmetrize."""
-    m = check_hermitian(a)
-    _psd_floor(_bare_eig(m))
-    return m
+    return _checked_positive(a)[0]
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ One table: for each such matrix argument, a NaN entry, a non-Hermitian
 matrix and a Hermitian matrix with a negative eigenvalue each raise the
 package's own error.  Matrices with no positivity contract (observables,
 Kraus operators, unitaries, the argument of ``hermitian_eig``) are not
-listed.
+listed.  A second table checks that what passes the check is what the
+function works on: an asymmetry inside the tolerance changes no result.
 """
 
 import numpy as np
@@ -46,7 +47,12 @@ from qrenyi.entanglement import (
     reof_minimize,
 )
 from qrenyi.errors import NegativeEigenvalue, NonFiniteInput, NonHermitianInput
-from qrenyi.linalg import fidelity, matrix_power_on_support, support_of
+from qrenyi.linalg import (
+    fidelity,
+    hermitian_part,
+    matrix_power_on_support,
+    support_of,
+)
 from qrenyi.states import (
     BipartiteState,
     check_density,
@@ -147,3 +153,45 @@ def test_bad_matrix_raises_the_package_error(call, bad):
     value, error = BAD[bad]
     with pytest.raises(error):
         CALLS[call](value.astype(complex))
+
+
+#: |+><+| with an antisymmetric defect just inside HERMITICITY_TOL: the
+#: checks pass it, but its lower triangle alone is a full-rank operator,
+#: with a kernel eigenvalue above the support cutoff.
+SKEW = np.array([[0.5, 0.5 + 2.4e-10], [0.5 - 2.4e-10, 0.5]], dtype=complex)
+MIXED = np.eye(2, dtype=complex) / 2
+IDENTITY = identity_channel(2)
+
+
+def _ops(cert):
+    return np.array([cert.lhs_operator, cert.rhs_operator])
+
+
+# (function and argument, call returning an array of results); alpha = 0.75
+# raises the spurious kernel eigenvalue to a negative power
+WORKS_ON_CHECKED = {
+    "h_hat-rho": lambda m: h_hat(m, MIXED, 0.75),
+    "q_tilde-rho": lambda m: q_tilde(m, MIXED, 0.75),
+    "srd-rho": lambda m: srd(m, MIXED, 0.75).value,
+    "d_max-rho": lambda m: d_max(m, MIXED).value,
+    "equality_residual-rho":
+        lambda m: _ops(equality_residual(m, MIXED, IDENTITY, 0.75)),
+    "equality_residual-sigma":
+        lambda m: _ops(equality_residual(MIXED, m, CHANNEL, 0.75)),
+    "equality_residual_stinespring-sigma":
+        lambda m: _ops(equality_residual_stinespring(MIXED, m, CHANNEL, 0.75)),
+    "equality_residual_partial_trace-sigma":
+        lambda m: _ops(equality_residual_partial_trace(GOOD_AB, _ab(m), 2, 2, 0.75)),
+    "petz_recovery-identity": lambda m: petz_recovery(m, IDENTITY).channel.kraus,
+    "petz_recovery-damping": lambda m: petz_recovery(m, CHANNEL).channel.kraus,
+    "conditional_renyi": lambda m: conditional_renyi(_state(m), 0.75)[0],
+    "fe_equality_check": lambda m: fe_equality_check(m, CHANNEL).bound_gap,
+}
+
+
+@pytest.mark.parametrize("call", WORKS_ON_CHECKED)
+def test_in_tolerance_asymmetry_changes_no_result(call):
+    # the checks symmetrize SKEW to exactly hermitian_part(SKEW), so a
+    # function that works on the checked matrix gives identical results
+    fn = WORKS_ON_CHECKED[call]
+    np.testing.assert_array_equal(fn(SKEW), fn(hermitian_part(SKEW)))
