@@ -33,9 +33,10 @@ from .linalg import (
     # unused here, but kept bound: bench/tracer.py wraps ``divergences.minimize``
     # to count nfev, which now reads 0 for this module
     minimize,  # noqa: F401
+    partial_trace,
     positive_spectrum,
 )
-from .states import BipartiteState, check_positive, purify
+from .states import BipartiteState, _purification, check_positive
 
 #: Absolute tolerance for support-overlap classification.
 SUPPORT_CLASSIFY_TOL = 1e-9
@@ -43,6 +44,8 @@ SUPPORT_CLASSIFY_TOL = 1e-9
 #: Iteration budget and residual target of the conditional-entropy fixed point.
 _FP_MAX_ITER = 2000
 _FP_TOL = 1e-12
+#: Past (sigma, next sigma) pairs its Anderson step mixes with the current one.
+_ANDERSON_DEPTH = 3
 
 CONTAINED = "contained"
 OVERLAPPING = "overlapping"
@@ -490,11 +493,13 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     located by a damped multiplicative fixed-point iteration
     ``sigma <- tr_A[((1 (x) sigma^g) rho (1 (x) sigma^g))^a]`` (normalized),
     whose stationary point is the unique optimum of this convex problem.
-    A depth-1 Anderson step is tried at every iteration, damped or not, and
-    the plain step is halved whenever the value would rise.  The iteration
-    stops when the map moves sigma by less than ``_FP_TOL`` in max-entry
-    norm, after ``_FP_MAX_ITER`` steps, or when damping falls below 1e-3;
-    the best iterate is returned.
+    Once per iterate, damped or not, an Anderson step mixes the last
+    ``_ANDERSON_DEPTH`` (sigma, next sigma) pairs with the current one, and
+    is taken if the value does not rise and the residual falls to 0.9 of
+    the current one or less; otherwise the plain step is halved whenever
+    the value would rise.  The iteration stops when the map moves sigma by
+    less than ``_FP_TOL`` in max-entry norm, after ``_FP_MAX_ITER`` steps,
+    or when damping falls below 1e-3; the best iterate is returned.
 
     The input state and its marginal rho_B are each checked once (finite,
     Hermitian, positive semidefinite), and the loop works on the checked
@@ -507,13 +512,30 @@ def conditional_renyi(state: BipartiteState, alpha: float):
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
     if alpha == 1.0:
         return conditional_entropy(state), state.marginal_b()
-    order = RenyiOrder(alpha)
     # BipartiteState checks only the shape; the loop's own operators are
     # formed from rho_AB and decomposed unchecked, so it is checked here
-    rho_ab = check_positive(state.mat)
-    dim_a, dim_b = state.dim_a, state.dim_b
+    return _conditional_renyi(
+        check_positive(state.mat), state.dim_a, state.dim_b, RenyiOrder(alpha)
+    )
 
-    rho_b, spec_b = _checked_positive(state.marginal_b())
+
+def _anderson_candidate(history, sigma, nxt):
+    """``nxt - sum_j c_j (nxt - nxt_j)`` over the ``(sigma_j, nxt_j)`` of
+    ``history``, the real c minimizing ``|r - sum_j c_j (r - r_j)|`` for the
+    residuals ``r = nxt - sigma``; None if the ``r - r_j`` are dependent."""
+    res = nxt - sigma
+    diffs = np.array([res - n + s for s, n in history]).reshape(len(history), -1)
+    # complex entries as (re, im) pairs: real coefficients, stacked parts
+    coef, _, rank, _ = np.linalg.lstsq(diffs.view(float).T, res.ravel().view(float))
+    if rank < len(history):
+        return None
+    return nxt - sum(c * (nxt - n) for c, (_, n) in zip(coef, history))
+
+
+def _conditional_renyi(rho_ab, dim_a, dim_b, order):
+    """:func:`conditional_renyi` at an order other than 1, on a checked
+    ``rho_ab``."""
+    rho_b, spec_b = _checked_positive(partial_trace(rho_ab, dim_a, dim_b, keep="B"))
     r = int(np.sum(spec_b.support_mask()))
 
     def psd_state(m):
@@ -533,8 +555,8 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     val, nxt = _fixed_point_step(rho_ab, dim_a, dim_b, spec_b, order, r)
     best_val, best_sigma = val, sigma
     damp = 1.0
-    prev_sigma = None
-    prev_nxt = None
+    history = []  # accepted (sigma, nxt) pairs before the current one, oldest first
+    anderson_tried = False  # the current iterate's Anderson candidate was scored
     for _ in range(_FP_MAX_ITER):
         if nxt is None:
             break
@@ -542,26 +564,20 @@ def conditional_renyi(state: BipartiteState, alpha: float):
         if cur_res < _FP_TOL:
             break
         accepted = None
-        if prev_sigma is not None:
-            # depth-1 Anderson step on the map residuals; only taken when it
-            # both keeps the value non-increasing and halves the residual
-            r1 = (nxt - sigma).ravel()
-            r0 = (prev_nxt - prev_sigma).ravel()
-            dr = r1 - r0
-            den = float(np.vdot(dr, dr).real)
-            if den > 1e-300:
-                theta = float(np.vdot(dr, r1).real) / den
-                acc, acc_spec = psd_state(nxt - theta * (nxt - prev_nxt))
-                if acc is not None:
-                    acc_val, acc_nxt = _fixed_point_step(
-                        rho_ab, dim_a, dim_b, acc_spec, order, r
-                    )
-                    if (
-                        acc_nxt is not None
-                        and acc_val <= val + 1e-13
-                        and max_abs(acc_nxt - acc) <= 0.5 * cur_res
-                    ):
-                        accepted = (acc, acc_val, acc_nxt)
+        if history and not anderson_tried:
+            anderson_tried = True
+            mixed = _anderson_candidate(history, sigma, nxt)
+            acc, acc_spec = (None, None) if mixed is None else psd_state(mixed)
+            if acc is not None:
+                acc_val, acc_nxt = _fixed_point_step(
+                    rho_ab, dim_a, dim_b, acc_spec, order, r
+                )
+                if (
+                    acc_nxt is not None
+                    and acc_val <= val + 1e-13
+                    and max_abs(acc_nxt - acc) <= 0.9 * cur_res
+                ):
+                    accepted = (acc, acc_val, acc_nxt)
         if accepted is None:
             if damp >= 1.0:
                 candidate = nxt
@@ -576,7 +592,8 @@ def conditional_renyi(state: BipartiteState, alpha: float):
                     break
                 continue
             accepted = (candidate, cand_val, cand_nxt)
-        prev_sigma, prev_nxt = sigma, nxt
+        history = (history + [(sigma, nxt)])[-_ANDERSON_DEPTH:]
+        anderson_tried = False
         sigma, val, nxt = accepted
         if val < best_val:
             best_val, best_sigma = val, sigma
@@ -589,14 +606,19 @@ def conditional_renyi(state: BipartiteState, alpha: float):
 
 
 def duality_gap(state: BipartiteState, alpha: float) -> float:
-    """|S_a(A|B) + S_b(A|C)| over a purification, with 1/a + 1/b = 2."""
+    """|S_a(A|B) + S_b(A|C)| over a purification, with 1/a + 1/b = 2; one
+    checked spectrum of rho_AB serves the A|B solve and the purification."""
     order = RenyiOrder(alpha) if alpha != 1.0 else None
     if alpha <= 0.5:
         raise ValueError("duality pair requires alpha > 1/2")
     beta = order.dual_beta if order is not None else 1.0
-    value_b, _ = conditional_renyi(state, alpha)
     dim_a, dim_b = state.dim_a, state.dim_b
-    psi, dim_c = purify(state.mat)
+    rho_ab, spec_ab = _checked_positive(state.mat)
+    if order is None:
+        value_b = conditional_entropy(state)
+    else:
+        value_b = _conditional_renyi(rho_ab, dim_a, dim_b, order)[0]
+    psi, dim_c = _purification(spec_ab)
     # rows indexed by A (x) C, columns by B: tracing out B is M M^dag
     m = psi.reshape(dim_a, dim_b, dim_c).transpose(0, 2, 1).reshape(-1, dim_b)
     rho_ac = m @ m.conj().T

@@ -127,7 +127,12 @@ def purify(rho: np.ndarray):
     out H' recovers ``rho``; the phased eigenvectors make psi deterministic.
     Raises NegativeEigenvalue when rho is not positive semidefinite.
     """
-    lam, vecs = positive_spectrum(rho).phased().supported()
+    return _purification(positive_spectrum(rho))
+
+
+def _purification(spec):
+    """:func:`purify` from the checked spectrum of rho."""
+    lam, vecs = spec.phased().supported()
     psi = (vecs[:, ::-1] * np.sqrt(lam[::-1])).reshape(-1)
     return psi, lam.size
 

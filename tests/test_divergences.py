@@ -45,6 +45,7 @@ from qrenyi.states import (
     BipartiteState,
     maximally_mixed,
     projector,
+    purify,
     random_density,
     random_pure,
     random_unitary,
@@ -666,6 +667,47 @@ class TestConditionalRenyi:
         assert len(steps) > 10
         assert len(checks) == 2
 
+    def test_scores_each_candidate_once(self, count_calls):
+        # after a damping halving the iterate is unchanged, and so would be
+        # its Anderson candidate: no two evaluations may see the same sigma
+        import qrenyi.divergences as divergences
+
+        rng = substream(7, 0, 14)
+        rho = random_density(4, int(rng.integers(2, 5)), rng)
+        steps = count_calls(divergences, "_fixed_point_step")
+        conditional_renyi(BipartiteState(rho, 2, 2), 3.0)
+        seen = {args[3].reconstruct().tobytes() for args in steps}
+        assert len(steps) > 10
+        assert len(seen) == len(steps)
+
+    def test_evaluation_budget_on_duality_draws(self, count_calls):
+        # the A|B calls of criterion 7's first 20 draws at each of its orders,
+        # for which a depth-1 Anderson step needs 1,394 evaluations
+        import qrenyi.divergences as divergences
+
+        steps = count_calls(divergences, "_fixed_point_step")
+        for pi, alpha in enumerate((2.0, 3.0, 0.75)):
+            for t in range(20):
+                rng = substream(7, pi, t)
+                rho = random_density(4, int(rng.integers(2, 5)), rng)
+                conditional_renyi(BipartiteState(rho, 2, 2), alpha)
+        assert len(steps) <= 700
+
+    def test_anderson_skips_a_dependent_history(self):
+        # residual differences r - r_j that are linearly dependent leave the
+        # mixing coefficients undefined: no candidate, so the plain step runs
+        from qrenyi.divergences import _anderson_candidate
+
+        def diag(*v):
+            return np.diag(v).astype(complex)
+
+        sigma, nxt = diag(0.5, 0.5), diag(0.75, 0.25)
+        history = [(sigma, diag(0.5, 0.5)), (sigma, diag(0.625, 0.375))]
+        assert _anderson_candidate(history, sigma, nxt) is None
+        assert _anderson_candidate([(sigma, nxt)], sigma, nxt) is None
+        mixed = _anderson_candidate(history[:1], sigma, nxt)
+        assert max_abs(mixed - diag(0.5, 0.5)) < 1e-15
+
     def test_rejects_non_hermitian_state(self):
         # |a0 b0><a1 b0| is off-diagonal in A, so rho_B stays Hermitian
         mat = random_density(4, 4, substream(935)).copy()
@@ -713,6 +755,27 @@ class TestDuality:
         # above 1 overflowed when raised to it
         st = BipartiteState(random_density(4, 4, 3), 2, 2)
         assert math.isfinite(duality_gap(st, 0.5000001))
+
+    def test_checks_and_decomposes_rho_ab_once(self, count_calls):
+        # rho_AB's one checked spectrum serves the A|B solve and the
+        # purification: no decomposition beyond the two conditional entropies
+        import qrenyi.linalg as linalg
+
+        st = BipartiteState(random_density(4, 3, substream(937)), 2, 2)
+        eighs = count_calls(np.linalg, "eigh")
+        checks = count_calls(linalg, "check_hermitian")
+        gap = duality_gap(st, 2.0)
+        n_gap, n_checks = len(eighs), len(checks)
+        value_b, _ = conditional_renyi(st, 2.0)
+        n_b = len(eighs) - n_gap
+        psi, dim_c = purify(st.mat)
+        m = psi.reshape(2, 2, dim_c).transpose(0, 2, 1).reshape(-1, 2)
+        state_ac = BipartiteState(m @ m.conj().T, 2, dim_c)
+        del eighs[:]
+        value_c, _ = conditional_renyi(state_ac, RenyiOrder(2.0).dual_beta)
+        assert n_checks == 4
+        assert n_gap == n_b + len(eighs)
+        assert gap == abs(value_b + value_c)
 
     def test_fixed_point_alone_closes_slow_state(self, monkeypatch):
         # at order 3 this state needs more than 500 fixed-point steps
@@ -868,6 +931,23 @@ class TestConditionalRenyiProperties:
         upper = _renyi_of_spectrum(partial_trace(rho, 2, dim_b, "A"), alpha)
         assert lower <= value + 1e-9 * max(1.0, abs(value))
         assert value <= upper + 1e-9 * max(1.0, abs(upper))
+
+    @property_settings
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.55, 5.0).filter(lambda a: abs(a - 1.0) > 1e-3),
+    )
+    def test_value_is_the_divergence_at_its_state(self, dim_b, seed, alpha):
+        # the value returned belongs to the sigma returned: a history that
+        # paired a value with another iterate would show here
+        rng = np.random.default_rng(seed)
+        d = 2 * dim_b
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+        value, sigma = conditional_renyi(BipartiteState(rho, 2, dim_b), alpha)
+        div = srd(rho, tensor(np.eye(2, dtype=complex), sigma), alpha).value
+        assert abs(value + div) <= 1e-10 * max(1.0, abs(value))
+        assert abs(np.trace(sigma).real - 1.0) <= 1e-12
 
     @property_settings
     @given(
