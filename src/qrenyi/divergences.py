@@ -33,7 +33,6 @@ from .linalg import (
     # unused here, but kept bound: bench/tracer.py wraps ``divergences.minimize``
     # to count nfev, which now reads 0 for this module
     minimize,  # noqa: F401
-    partial_trace,
     positive_spectrum,
 )
 from .states import BipartiteState, _purification, check_positive
@@ -429,15 +428,19 @@ def renyi_entropy(rho: np.ndarray, alpha: float) -> float:
     Raises NegativeEigenvalue when rho is not positive semidefinite and
     PrecisionLoss when its support is empty."""
     _check_entropy_order(alpha)
-    spec = positive_spectrum(rho)
+    return _entropy(positive_spectrum(rho), alpha)
+
+
+def _entropy(spec: Spectrum, alpha: float) -> float:
+    """:func:`renyi_entropy` from a checked spectrum."""
     keep = spec.support_mask()
     _require_support(keep, alpha)
     return float(_spectrum_entropy(spec.eigenvalues, alpha, keep))
 
 
 def conditional_entropy(state: BipartiteState) -> float:
-    """Von Neumann conditional entropy S(AB) - S(B)."""
-    return von_neumann_entropy(state.mat) - von_neumann_entropy(state.marginal_b())
+    """Von Neumann S(AB) - S(B), with S(AB) from the state's spectrum."""
+    return _entropy(state.spectrum, 1.0) - von_neumann_entropy(state.marginal_b())
 
 
 # ---------------------------------------------------------------------------
@@ -501,41 +504,20 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     less than ``_FP_TOL`` in max-entry norm, after ``_FP_MAX_ITER`` steps,
     or when damping falls below 1e-3; the best iterate is returned.
 
-    The input state and its marginal rho_B are each checked once (finite,
-    Hermitian, positive semidefinite), and the loop works on the checked
-    matrices.  The sandwich, the plain or damped candidate and the
-    Anderson candidate are operators the loop forms from the checked
-    state, so they are decomposed bare (no check, no phase convention);
-    every later use of those spectra is phase-invariant.
+    The state was checked when it was made, and its marginal rho_B is
+    checked here (finite, Hermitian, positive semidefinite); the loop works
+    on the checked matrices.  The sandwich, the plain or damped candidate
+    and the Anderson candidate are operators the loop forms from the
+    checked state, so they are decomposed bare (no check, no phase
+    convention); every later use of those spectra is phase-invariant.
     """
     if alpha < 0.5:
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
     if alpha == 1.0:
         return conditional_entropy(state), state.marginal_b()
-    # BipartiteState checks only the shape; the loop's own operators are
-    # formed from rho_AB and decomposed unchecked, so it is checked here
-    return _conditional_renyi(
-        check_positive(state.mat), state.dim_a, state.dim_b, RenyiOrder(alpha)
-    )
-
-
-def _anderson_candidate(history, sigma, nxt):
-    """``nxt - sum_j c_j (nxt - nxt_j)`` over the ``(sigma_j, nxt_j)`` of
-    ``history``, the real c minimizing ``|r - sum_j c_j (r - r_j)|`` for the
-    residuals ``r = nxt - sigma``; None if the ``r - r_j`` are dependent."""
-    res = nxt - sigma
-    diffs = np.array([res - n + s for s, n in history]).reshape(len(history), -1)
-    # complex entries as (re, im) pairs: real coefficients, stacked parts
-    coef, _, rank, _ = np.linalg.lstsq(diffs.view(float).T, res.ravel().view(float))
-    if rank < len(history):
-        return None
-    return nxt - sum(c * (nxt - n) for c, (_, n) in zip(coef, history))
-
-
-def _conditional_renyi(rho_ab, dim_a, dim_b, order):
-    """:func:`conditional_renyi` at an order other than 1, on a checked
-    ``rho_ab``."""
-    rho_b, spec_b = _checked_positive(partial_trace(rho_ab, dim_a, dim_b, keep="B"))
+    order = RenyiOrder(alpha)
+    rho_ab, dim_a, dim_b = state.mat, state.dim_a, state.dim_b
+    rho_b, spec_b = _checked_positive(state.marginal_b())
     r = int(np.sum(spec_b.support_mask()))
 
     def psd_state(m):
@@ -605,22 +587,30 @@ def _conditional_renyi(rho_ab, dim_a, dim_b, order):
     return -best_val, best_sigma
 
 
+def _anderson_candidate(history, sigma, nxt):
+    """``nxt - sum_j c_j (nxt - nxt_j)`` over the ``(sigma_j, nxt_j)`` of
+    ``history``, the real c minimizing ``|r - sum_j c_j (r - r_j)|`` for the
+    residuals ``r = nxt - sigma``; None if the ``r - r_j`` are dependent."""
+    res = nxt - sigma
+    diffs = np.array([res - n + s for s, n in history]).reshape(len(history), -1)
+    # complex entries as (re, im) pairs: real coefficients, stacked parts
+    coef, _, rank, _ = np.linalg.lstsq(diffs.view(float).T, res.ravel().view(float))
+    if rank < len(history):
+        return None
+    return nxt - sum(c * (nxt - n) for c, (_, n) in zip(coef, history))
+
+
 def duality_gap(state: BipartiteState, alpha: float) -> float:
-    """|S_a(A|B) + S_b(A|C)| over a purification, with 1/a + 1/b = 2; one
-    checked spectrum of rho_AB serves the A|B solve and the purification."""
-    order = RenyiOrder(alpha) if alpha != 1.0 else None
+    """|S_a(A|B) + S_b(A|C)| over a purification, with 1/a + 1/b = 2 (b = 1
+    at a = 1); the purification comes from the state's spectrum, and rho_AC
+    is checked when its state is made."""
     if alpha <= 0.5:
         raise ValueError("duality pair requires alpha > 1/2")
-    beta = order.dual_beta if order is not None else 1.0
+    beta = 1.0 if alpha == 1.0 else RenyiOrder(alpha).dual_beta
+    value_b, _ = conditional_renyi(state, alpha)
+    psi, dim_c = _purification(state.spectrum)
     dim_a, dim_b = state.dim_a, state.dim_b
-    rho_ab, spec_ab = _checked_positive(state.mat)
-    if order is None:
-        value_b = conditional_entropy(state)
-    else:
-        value_b = _conditional_renyi(rho_ab, dim_a, dim_b, order)[0]
-    psi, dim_c = _purification(spec_ab)
     # rows indexed by A (x) C, columns by B: tracing out B is M M^dag
     m = psi.reshape(dim_a, dim_b, dim_c).transpose(0, 2, 1).reshape(-1, dim_b)
-    rho_ac = m @ m.conj().T
-    value_c, _ = conditional_renyi(BipartiteState(rho_ac, dim_a, dim_c), beta)
+    value_c, _ = conditional_renyi(BipartiteState(m @ m.conj().T, dim_a, dim_c), beta)
     return abs(value_b + value_c)

@@ -22,7 +22,6 @@ from .linalg import (
     _bare_eig,
     _checked_positive,
     _root_fidelity,
-    hermitian_part,
     max_abs,
     minimize,
     positive_spectrum,
@@ -137,7 +136,7 @@ def saturating_state(spec: SaturatingSpec, dim_b: int | None = None) -> Bipartit
         for k in range(r_a):
             vec[k * dim_b + (k + i * r_a)] = sqrt_mu[k]
         rho += spec.lam[i] * np.outer(vec, vec.conj())
-    return BipartiteState(hermitian_part(rho), dim_a, dim_b)
+    return BipartiteState(rho, dim_a, dim_b)
 
 
 def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
@@ -150,7 +149,7 @@ def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
     holds for one such basis exactly when it holds for all of them, and
     the eigenbasis decides it.
     """
-    spec = positive_spectrum(state.mat)
+    spec = state.spectrum
     rho_a = state.marginal_a()
     r_ab = int(np.sum(spec.support_mask()))
     rank_ok = support_of(state.marginal_b()) == support_of(rho_a) * r_ab
@@ -224,12 +223,11 @@ def reof_minimize(
     L-BFGS-B gets the exact gradient with each value, from the two SVDs an
     evaluation does: the entropy's slope in each member's Schmidt
     coefficients goes back through the members' SVD, then the mixing, then
-    the polar factor's adjoint.  Raises NegativeEigenvalue when the state
-    is not positive semidefinite.
+    the polar factor's adjoint.
     """
     check_reof_options(alpha, ensemble_size, restarts)
     # phased, so the ensemble handed out is deterministic
-    lam, vecs = positive_spectrum(state.mat).phased().supported()
+    lam, vecs = state.spectrum.phased().supported()
     lam, vecs = lam[::-1], vecs[:, ::-1]
     r = lam.size
     m = ensemble_size if ensemble_size is not None else min(r * r, 16)

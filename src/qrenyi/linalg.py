@@ -6,8 +6,9 @@ evaluated spectrally and restricted to the support of the operator, with a
 relative eigenvalue cutoff separating "zero" from "nonzero" modes.
 
 One rule for every decomposition.  The matrices a call must validate (each
-caller's matrix argument, the marginals of a caller's state, and every pair
-that ``divergences._classified_spectra`` classifies) are checked once: by
+caller's matrix argument, a ``BipartiteState``'s matrix, when the state is
+made, the marginals of a caller's state, and every pair that
+``divergences._classified_spectra`` classifies) are checked once: by
 :func:`_checked_positive` (finite, Hermitian, the negative floor), or by
 :func:`check_hermitian` alone where no spectrum is needed; both return the
 symmetrized matrix, never the raw one (LAPACK reads only its lower

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import (
+    Spectrum,
     _checked_positive,
     as_complex_matrix,
     hermitian_part,
@@ -60,23 +62,28 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Density matrix on A (x) B with the factorization attached."""
+    """Density matrix on A (x) B with the factorization attached, checked
+    once, when made: ``mat`` is the symmetrized matrix that passed and
+    ``spectrum`` its decomposition, which functions taking a state read."""
 
     mat: np.ndarray
     dim_a: int
     dim_b: int
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if min(self.dim_a, self.dim_b) < 1:
-            raise ValueError(f"dims must be >= 1, got ({self.dim_a}, {self.dim_b})")
+        dim_a, dim_b = operator.index(self.dim_a), operator.index(self.dim_b)
+        if min(dim_a, dim_b) < 1:
+            raise ValueError(f"dims must be >= 1, got ({dim_a}, {dim_b})")
         m = as_complex_matrix(self.mat)
-        d = self.dim_a * self.dim_b
+        d = dim_a * dim_b
         if m.shape != (d, d):
             raise DimensionMismatch(
-                f"state is {m.shape}, expected ({d}, {d}) for dims "
-                f"({self.dim_a}, {self.dim_b})"
+                f"state is {m.shape}, expected ({d}, {d}) for dims ({dim_a}, {dim_b})"
             )
+        m, spec = _checked_positive(m)
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "spectrum", spec)
 
     def marginal_a(self) -> np.ndarray:
         return partial_trace(self.mat, self.dim_a, self.dim_b, keep="A")
@@ -106,7 +113,7 @@ class RankProfile:
 
 
 def rank_profile(state: BipartiteState) -> RankProfile:
-    r_ab = support_of(state.mat)
+    r_ab = int(np.sum(state.spectrum.support_mask()))
     r_a = support_of(state.marginal_a())
     r_b = support_of(state.marginal_b())
     return RankProfile(r_ab, r_a, r_b)

@@ -756,24 +756,27 @@ class TestDuality:
         st = BipartiteState(random_density(4, 4, 3), 2, 2)
         assert math.isfinite(duality_gap(st, 0.5000001))
 
-    def test_checks_and_decomposes_rho_ab_once(self, count_calls):
-        # rho_AB's one checked spectrum serves the A|B solve and the
-        # purification: no decomposition beyond the two conditional entropies
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_checks_and_decomposes_rho_ab_once(self, alpha, count_calls):
+        # rho_AB was checked and decomposed when its state was made: the gap
+        # checks the two marginals and rho_AC, and decomposes nothing beyond
+        # the A|B solve, rho_AC's state and the A|C solve
         import qrenyi.linalg as linalg
 
         st = BipartiteState(random_density(4, 3, substream(937)), 2, 2)
+        beta = 1.0 if alpha == 1.0 else RenyiOrder(alpha).dual_beta
         eighs = count_calls(np.linalg, "eigh")
         checks = count_calls(linalg, "check_hermitian")
-        gap = duality_gap(st, 2.0)
+        gap = duality_gap(st, alpha)
         n_gap, n_checks = len(eighs), len(checks)
-        value_b, _ = conditional_renyi(st, 2.0)
+        value_b, _ = conditional_renyi(st, alpha)
         n_b = len(eighs) - n_gap
         psi, dim_c = purify(st.mat)
         m = psi.reshape(2, 2, dim_c).transpose(0, 2, 1).reshape(-1, 2)
-        state_ac = BipartiteState(m @ m.conj().T, 2, dim_c)
         del eighs[:]
-        value_c, _ = conditional_renyi(state_ac, RenyiOrder(2.0).dual_beta)
-        assert n_checks == 4
+        state_ac = BipartiteState(m @ m.conj().T, 2, dim_c)
+        value_c, _ = conditional_renyi(state_ac, beta)
+        assert n_checks == 3
         assert n_gap == n_b + len(eighs)
         assert gap == abs(value_b + value_c)
 

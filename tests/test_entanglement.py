@@ -418,19 +418,20 @@ class TestEntanglementFidelity:
 
 
 class TestNonPositiveState:
-    """A joint state with a negative eigenvalue raises, where the fixed
-    point, the minimizer and the purification would otherwise drop it."""
+    """A joint matrix with a negative eigenvalue raises when its state is
+    made (or when purified), before the fixed point, the minimizer or the
+    purification could drop it."""
 
-    BAD = BipartiteState(np.diag([0.6, -0.1, 0.1, 0.4]).astype(complex), 2, 2)
+    BAD = np.diag([0.6, -0.1, 0.1, 0.4]).astype(complex)
 
     @pytest.mark.parametrize(
         "op",
         [
-            lambda st: conditional_renyi(st, 2.0),
-            lambda st: conditional_renyi(st, 1.0),
-            lambda st: araki_lieb_renyi(st, 2.0),
-            lambda st: reof_minimize(st, 2.0, restarts=0),
-            lambda st: purify(st.mat),
+            lambda m: conditional_renyi(BipartiteState(m, 2, 2), 2.0),
+            lambda m: conditional_renyi(BipartiteState(m, 2, 2), 1.0),
+            lambda m: araki_lieb_renyi(BipartiteState(m, 2, 2), 2.0),
+            lambda m: reof_minimize(BipartiteState(m, 2, 2), 2.0, restarts=0),
+            lambda m: purify(m),
         ],
         ids=["conditional_renyi", "order_1", "araki_lieb", "reof", "purify"],
     )

@@ -6,6 +6,8 @@ package's own error.  Matrices with no positivity contract (observables,
 Kraus operators, unitaries, the argument of ``hermitian_eig``) are not
 listed.  A second table checks that what passes the check is what the
 function works on: an asymmetry inside the tolerance changes no result.
+A third checks that no function taking a ``BipartiteState`` checks its
+matrix again: the state was checked when it was made.
 """
 
 import numpy as np
@@ -185,6 +187,10 @@ WORKS_ON_CHECKED = {
     "petz_recovery-identity": lambda m: petz_recovery(m, IDENTITY).channel.kraus,
     "petz_recovery-damping": lambda m: petz_recovery(m, CHANNEL).channel.kraus,
     "conditional_renyi": lambda m: conditional_renyi(_state(m), 0.75)[0],
+    "duality_gap": lambda m: duality_gap(_state(m), 0.75),
+    "araki_lieb_renyi": lambda m: araki_lieb_renyi(_state(m), 0.75).value,
+    "check_saturation_conditions":
+        lambda m: check_saturation_conditions(_state(m)).residual,
     "fe_equality_check": lambda m: fe_equality_check(m, CHANNEL).bound_gap,
 }
 
@@ -195,3 +201,30 @@ def test_in_tolerance_asymmetry_changes_no_result(call):
     # function that works on the checked matrix gives identical results
     fn = WORKS_ON_CHECKED[call]
     np.testing.assert_array_equal(fn(SKEW), fn(hermitian_part(SKEW)))
+
+
+#: Every function that takes a BipartiteState, on the state alone.
+STATE_CALLS = {
+    "conditional_renyi": lambda st: conditional_renyi(st, 2.0),
+    "conditional_entropy": conditional_entropy,
+    "duality_gap-2": lambda st: duality_gap(st, 2.0),
+    "duality_gap-1": lambda st: duality_gap(st, 1.0),
+    "araki_lieb_renyi": lambda st: araki_lieb_renyi(st, 2.0),
+    "reof_minimize": lambda st: reof_minimize(st, 2.0, restarts=0),
+    "check_saturation_conditions": check_saturation_conditions,
+    "rank_profile": rank_profile,
+    "reof_lower_bound": lambda st: reof_lower_bound(st, 2.0),
+    "eof_lower_bound": eof_lower_bound,
+}
+
+
+@pytest.mark.parametrize("call", STATE_CALLS)
+def test_state_matrix_is_checked_only_when_made(call, count_calls):
+    import qrenyi.linalg as linalg
+
+    st = BipartiteState(random_density(4, 3, 937), 2, 2)
+    checks = count_calls(linalg, "check_hermitian")
+    STATE_CALLS[call](st)
+    assert not [
+        a for (a, *_) in checks if a.shape == st.mat.shape and np.array_equal(a, st.mat)
+    ]

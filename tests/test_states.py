@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrenyi.errors import DimensionMismatch
-from qrenyi.linalg import max_abs, partial_trace, support_of, tensor
+from qrenyi.linalg import hermitian_part, max_abs, partial_trace, support_of, tensor
 from qrenyi.states import (
     BipartiteState,
     check_density,
@@ -15,6 +15,9 @@ from qrenyi.states import (
     rank_profile,
     substream,
 )
+
+# the bad and the in-tolerance asymmetric values every entry check is tested on
+from test_inputs import BAD, SKEW
 
 
 class TestPurify:
@@ -132,6 +135,32 @@ class TestBipartite:
         # (-2, -2) matches the 4 x 4 shape, and numpy's reshape would reject it
         with pytest.raises(ValueError, match="dims must be >= 1"):
             BipartiteState(maximally_mixed(4), *dims)
+
+    def test_rejects_non_integer_dimensions(self):
+        # 2.0 * 2 matches the 4 x 4 shape, and numpy's reshape would reject it
+        with pytest.raises(TypeError):
+            BipartiteState(maximally_mixed(4), 2.0, 2)
+
+    def test_takes_numpy_integer_dimensions(self):
+        st = BipartiteState(maximally_mixed(4), np.int64(2), np.int32(2))
+        assert (st.dim_a, st.dim_b) == (2, 2)
+        assert max_abs(st.marginal_b() - maximally_mixed(2)) < 1e-15
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_matrix_raises_when_made(self, bad):
+        value, error = BAD[bad]
+        with pytest.raises(error):
+            BipartiteState(np.kron(value, maximally_mixed(2)).astype(complex), 2, 2)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [np.kron(SKEW, maximally_mixed(2)), random_density(4, 3, 5)],
+        ids=["in-tolerance-asymmetry", "random"],
+    )
+    def test_keeps_the_checked_matrix_and_its_spectrum(self, mat):
+        st = BipartiteState(mat, 2, 2)
+        np.testing.assert_array_equal(st.mat, hermitian_part(mat))
+        assert max_abs(st.spectrum.reconstruct() - st.mat) < 1e-14
 
     def test_marginals_of_product(self):
         rho_a = random_density(2, 2, 1)
