@@ -11,6 +11,7 @@ import argparse
 import inspect
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -55,6 +56,15 @@ class MatrixFileError(Exception):
 # ---------------------------------------------------------------------------
 # MatrixFile JSON format
 # ---------------------------------------------------------------------------
+
+
+def _dimension(doc: dict, key: str) -> int:
+    """``doc[key]``, which must be a JSON integer: MatrixFileError naming
+    the field for a float, a bool, a string or no value."""
+    value = doc.get(key)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise MatrixFileError(f"{key} must be a JSON integer, got {value!r}")
+    return operator.index(value)
 
 
 def _matrix_from_parts(re, im, dim_rows, dim_cols):
@@ -102,7 +112,7 @@ def parse_matrix_doc(doc: dict):
     kind = doc["kind"]
     if kind == "channel-kraus":
         try:
-            d_in, d_out = int(doc["dim_in"]), int(doc["dim_out"])
+            d_in, d_out = _dimension(doc, "dim_in"), _dimension(doc, "dim_out")
             kraus = [
                 _matrix_from_parts(k["re"], k["im"], d_out, d_in)
                 for k in doc["kraus"]
@@ -116,20 +126,12 @@ def parse_matrix_doc(doc: dict):
     if kind not in ("state", "positive"):
         raise MatrixFileError(f"unknown kind {kind!r}")
     if "dimA" in doc or "dimB" in doc:
-        try:
-            da, db = int(doc["dimA"]), int(doc["dimB"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MatrixFileError("dimA/dimB must both be present") from exc
+        da, db = _dimension(doc, "dimA"), _dimension(doc, "dimB")
         if min(da, db) < 1:
             raise MatrixFileError(f"dimA and dimB must be >= 1, got {da} and {db}")
-        d = da * db
-        dims = (da, db)
+        d, dims = da * db, (da, db)
     else:
-        try:
-            d = int(doc["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MatrixFileError("missing 'dim' field") from exc
-        dims = None
+        d, dims = _dimension(doc, "dim"), None
     try:
         mat = _matrix_from_parts(doc.get("re"), doc.get("im"), d, d)
     except (TypeError, ValueError) as exc:
@@ -336,7 +338,7 @@ def cmd_eof(state, ensemble_size, restarts, seed, alpha) -> dict:
     )
     payload["value"] = value
     payload["renyi_lower_bound"] = (
-        reof_lower_bound(state, alpha) if alpha > 1.0 else None
+        reof_lower_bound(state, alpha) if 1.0 < alpha < math.inf else None
     )
     payload["ensemble_weights"] = [float(w) for w in ensemble.weights]
     return payload

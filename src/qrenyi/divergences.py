@@ -440,7 +440,7 @@ def _entropy(spec: Spectrum, alpha: float) -> float:
 
 def conditional_entropy(state: BipartiteState) -> float:
     """Von Neumann S(AB) - S(B), with S(AB) from the state's spectrum."""
-    return _entropy(state.spectrum, 1.0) - von_neumann_entropy(state.marginal_b())
+    return _entropy(state.spectrum, 1.0) - _entropy(_bare_eig(state.marginal_b()), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +504,11 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     less than ``_FP_TOL`` in max-entry norm, after ``_FP_MAX_ITER`` steps,
     or when damping falls below 1e-3; the best iterate is returned.
 
-    The state was checked when it was made, and its marginal rho_B is
-    checked here (finite, Hermitian, positive semidefinite); the loop works
-    on the checked matrices.  The sandwich, the plain or damped candidate
-    and the Anderson candidate are operators the loop forms from the
-    checked state, so they are decomposed bare (no check, no phase
-    convention); every later use of those spectra is phase-invariant.
+    The state was checked when it was made.  Its marginal rho_B, the
+    sandwich, the plain or damped candidate and the Anderson candidate are
+    operators formed from the checked state, so they are decomposed bare
+    (no check, no phase convention); every later use of those spectra is
+    phase-invariant.
     """
     if alpha < 0.5:
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
@@ -517,7 +516,8 @@ def conditional_renyi(state: BipartiteState, alpha: float):
         return conditional_entropy(state), state.marginal_b()
     order = RenyiOrder(alpha)
     rho_ab, dim_a, dim_b = state.mat, state.dim_a, state.dim_b
-    rho_b, spec_b = _checked_positive(state.marginal_b())
+    rho_b = state.marginal_b()
+    spec_b = _bare_eig(rho_b)
     r = int(np.sum(spec_b.support_mask()))
 
     def psd_state(m):

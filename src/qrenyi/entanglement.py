@@ -12,9 +12,9 @@ from .channels import QuantumChannel, apply
 from .divergences import (
     RenyiOrder,
     _check_entropy_order,
+    _entropy,
     _spectrum_entropy,
     _spectrum_entropy_slope,
-    conditional_entropy,
     conditional_renyi,
 )
 from .errors import DimensionMismatch, DimensionTooSmall, OptimizerNonConvergence
@@ -24,11 +24,9 @@ from .linalg import (
     _root_fidelity,
     max_abs,
     minimize,
-    positive_spectrum,
-    support_of,
     support_threshold,
 )
-from .states import BipartiteState, check_positive, substream
+from .states import BipartiteState, check_positive, rank_profile, substream
 
 #: Cross-term threshold of :func:`check_saturation_conditions`.
 _SATURATION_CROSS_TOL = 1e-8
@@ -106,7 +104,7 @@ def araki_lieb_renyi(state: BipartiteState, alpha: float) -> ArakiLiebReport:
     if alpha < 0.5:
         raise ValueError("alpha must be >= 1/2")
     beta = 1.0 if alpha == 1.0 else RenyiOrder(alpha).dual_beta
-    spec_a = positive_spectrum(state.marginal_a())
+    spec_a = _bare_eig(state.marginal_a())
     lam_a, keep = spec_a.eigenvalues, spec_a.support_mask()
     value, _ = conditional_renyi(state, alpha)
     upper = float(_spectrum_entropy(lam_a, alpha, keep))
@@ -149,14 +147,12 @@ def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
     holds for one such basis exactly when it holds for all of them, and
     the eigenbasis decides it.
     """
-    spec = state.spectrum
-    rho_a = state.marginal_a()
-    r_ab = int(np.sum(spec.support_mask()))
-    rank_ok = support_of(state.marginal_b()) == support_of(rho_a) * r_ab
-    _, vecs = spec.supported()
+    ranks = rank_profile(state)
+    rank_ok = ranks.r_b == ranks.r_a * ranks.r_ab
+    _, vecs = state.spectrum.supported()
     t = vecs.reshape(state.dim_a, state.dim_b, -1)
     cross = np.einsum("abi,cbj->ijac", t, t.conj())
-    cross -= np.einsum("ij,ac->ijac", np.eye(t.shape[2]), rho_a)
+    cross -= np.einsum("ij,ac->ijac", np.eye(t.shape[2]), state.marginal_a())
     residual = max_abs(cross)
     cross_ok = residual <= _SATURATION_CROSS_TOL
     return SaturationCheck(rank_ok and cross_ok, rank_ok, cross_ok, residual)
@@ -168,10 +164,11 @@ def check_saturation_conditions(state: BipartiteState) -> SaturationCheck:
 
 
 def eof_lower_bound(state: BipartiteState) -> float:
-    """``max(-S(A|B), -S(B|A), 0)`` on the von Neumann side."""
-    s_ab = conditional_entropy(state)
-    s_ba = conditional_entropy(state.swapped())
-    return max(-s_ab, -s_ba, 0.0)
+    """``max(-S(A|B), -S(B|A), 0)`` on the von Neumann side, as
+    ``max(S(A), S(B)) - S(AB)`` floored at 0, from the state's three spectra."""
+    s_a = _entropy(_bare_eig(state.marginal_a()), 1.0)
+    s_b = _entropy(_bare_eig(state.marginal_b()), 1.0)
+    return max(max(s_a, s_b) - _entropy(state.spectrum, 1.0), 0.0)
 
 
 def reof_lower_bound(state: BipartiteState, alpha: float) -> float:

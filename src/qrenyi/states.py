@@ -10,12 +10,12 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import (
     Spectrum,
+    _bare_eig,
     _checked_positive,
     as_complex_matrix,
     hermitian_part,
     partial_trace,
     positive_spectrum,
-    support_of,
 )
 
 #: Allowed deviation of a density matrix trace from 1.
@@ -113,10 +113,9 @@ class RankProfile:
 
 
 def rank_profile(state: BipartiteState) -> RankProfile:
-    r_ab = int(np.sum(state.spectrum.support_mask()))
-    r_a = support_of(state.marginal_a())
-    r_b = support_of(state.marginal_b())
-    return RankProfile(r_ab, r_a, r_b)
+    marginals = (_bare_eig(state.marginal_a()), _bare_eig(state.marginal_b()))
+    specs = (state.spectrum,) + marginals
+    return RankProfile(*(int(np.sum(spec.support_mask())) for spec in specs))
 
 
 def maximally_mixed(d: int) -> np.ndarray:

@@ -85,6 +85,31 @@ class TestMatrixFile:
             with pytest.raises(MatrixFileError, match="must be >= 1"):
                 parse_matrix_doc(doc)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dimA", 2.5), ("dimB", True), ("dim", 4.9), ("dim_in", 2.2), ("dim_out", 2.0)],
+    )
+    def test_dimensions_are_json_integers(self, capsys, workdir, field, value):
+        # int() took each of these: 2.5 and 4.9 as 2 and 4, True as 1
+        _, write = workdir
+        rho = matrix_to_doc(random_density(4, 4, 5), "state", dims=(2, 2))
+        chan = channel_to_doc(amplitude_damping(0.37))
+        flat = matrix_to_doc(random_density(4, 4, 5), "state")
+        if field in ("dimA", "dimB"):
+            state = write("s.json", {**rho, field: value})
+            argv = ["conditional-entropy", "--state", state]
+        elif field == "dim":
+            path = write("r.json", {**flat, field: value})
+            argv = ["divergence", "--kind", "qre", "--rho", path, "--sigma", path]
+        else:
+            rho = write("r.json", matrix_to_doc(maximally_mixed(2), "state"))
+            path = write("c.json", {**chan, field: value})
+            argv = ["entanglement-fidelity", "--rho", rho, "--channel", path]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err.endswith(f"error: {field} must be a JSON integer, got {value!r}\n")
+
     def test_rejects_nonpositive_state(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
         doc = matrix_to_doc(bad, "state")
@@ -212,6 +237,24 @@ class TestCommands:
         code, out = _run(capsys, ["eof", "--state", state, "--alpha", "2"])
         assert code == EXIT_OK
         assert abs(out["value"] - 1.0) < 1e-6
+
+    def test_eof_at_infinite_order(self, capsys, workdir):
+        # the dual-order bound holds for 1 < alpha < inf only, as at alpha < 1
+        _, write = workdir
+        doc = matrix_to_doc(random_density(4, 3, 5), "state", dims=(2, 2))
+        code, out = _run(capsys, ["eof", "--state", write("s.json", doc), "--alpha", "inf"])
+        assert code == EXIT_OK
+        assert math.isfinite(out["value"]) and out["renyi_lower_bound"] is None
+
+    def test_araki_lieb_and_eof_on_a_state_with_a_roundoff_marginal(self, capsys, workdir):
+        # the state passes its floor; its A marginal has an eigenvalue of
+        # -1.8e-10, below the floor a marginal check would put at -1e-10
+        _, write = workdir
+        rho = np.diag([0.5, 0.5 + 1.8e-10, -0.9e-10, -0.9e-10])
+        state = write("s.json", matrix_to_doc(rho, "state", dims=(2, 2)))
+        for command in ("araki-lieb", "eof"):
+            code, _ = _run(capsys, [command, "--state", state, "--alpha", "2"])
+            assert code == EXIT_OK, command
 
     def test_entanglement_fidelity(self, capsys, workdir):
         _, write = workdir

@@ -655,8 +655,9 @@ class TestConditionalRenyi:
         assert len(eighs) == 1
 
     def test_checks_only_the_inputs(self, count_calls):
-        # the loop decomposes operators it formed itself from the checked
-        # state, so check_hermitian sees rho_AB and rho_B once each
+        # rho_B and the loop's operators are formed from the checked state
+        # and decomposed bare, so check_hermitian sees rho_AB once, when its
+        # state is made
         import qrenyi.divergences as divergences
         import qrenyi.linalg as linalg
 
@@ -665,7 +666,7 @@ class TestConditionalRenyi:
         st = BipartiteState(random_density(6, 2, substream(933, 72)), 2, 3)
         conditional_renyi(st, 3.0)
         assert len(steps) > 10
-        assert len(checks) == 2
+        assert len(checks) == 1
 
     def test_scores_each_candidate_once(self, count_calls):
         # after a damping halving the iterate is unchanged, and so would be
@@ -758,9 +759,10 @@ class TestDuality:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_checks_and_decomposes_rho_ab_once(self, alpha, count_calls):
-        # rho_AB was checked and decomposed when its state was made: the gap
-        # checks the two marginals and rho_AC, and decomposes nothing beyond
-        # the A|B solve, rho_AC's state and the A|C solve
+        # rho_AB was checked and decomposed when its state was made, and the
+        # marginals are decomposed bare: the gap checks rho_AC alone, and
+        # decomposes nothing beyond the A|B solve, rho_AC's state and the
+        # A|C solve
         import qrenyi.linalg as linalg
 
         st = BipartiteState(random_density(4, 3, substream(937)), 2, 2)
@@ -776,7 +778,7 @@ class TestDuality:
         del eighs[:]
         state_ac = BipartiteState(m @ m.conj().T, 2, dim_c)
         value_c, _ = conditional_renyi(state_ac, beta)
-        assert n_checks == 3
+        assert n_checks == 1
         assert n_gap == n_b + len(eighs)
         assert gap == abs(value_b + value_c)
 

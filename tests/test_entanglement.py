@@ -13,7 +13,12 @@ from qrenyi.channels import (
     identity_channel,
     random_channel,
 )
-from qrenyi.divergences import conditional_renyi, renyi_entropy, von_neumann_entropy
+from qrenyi.divergences import (
+    conditional_entropy,
+    conditional_renyi,
+    renyi_entropy,
+    von_neumann_entropy,
+)
 from qrenyi.entanglement import (
     SaturatingSpec,
     araki_lieb_renyi,
@@ -29,6 +34,7 @@ from qrenyi.errors import DimensionTooSmall, NegativeEigenvalue
 from qrenyi.linalg import fidelity, max_abs, partial_trace, tensor
 from qrenyi.states import (
     BipartiteState,
+    RankProfile,
     maximally_mixed,
     projector,
     purify,
@@ -183,6 +189,24 @@ class TestEofBounds:
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ValueError):
             reof_lower_bound(bell_state(), 0.9)
+
+    def test_matches_the_conditional_entropies(self):
+        # max(S(A), S(B)) - S(AB) from the state's three spectra is
+        # max(-S(A|B), -S(B|A), 0), with S(B|A) taken on the swapped state
+        for dims in [(2, 2), (2, 3), (3, 2)]:
+            for t in range(20):
+                rng = substream(617, dims[0], dims[1], t)
+                d = dims[0] * dims[1]
+                rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+                st = BipartiteState(rho, *dims)
+                old = max(-conditional_entropy(st), -conditional_entropy(st.swapped()), 0.0)
+                assert abs(eof_lower_bound(st) - old) <= 1e-14
+
+    def test_decomposes_the_two_marginals_only(self, count_calls):
+        st = BipartiteState(random_density(4, 3, 937), 2, 2)
+        calls = count_calls(np.linalg, "eigh")
+        eof_lower_bound(st)
+        assert len(calls) == 2
 
 
 class TestReofMinimize:
@@ -438,3 +462,27 @@ class TestNonPositiveState:
     def test_raises_negative_eigenvalue(self, op):
         with pytest.raises(NegativeEigenvalue):
             op(self.BAD)
+
+
+class TestRoundoffMarginal:
+    """The state passes its negative floor, -1e-10; its A marginal, a
+    partial trace formed from it, has an eigenvalue of -1.8e-10, roundoff
+    of 0 that the support rule drops."""
+
+    STATE = BipartiteState(np.diag([0.5, 0.5 + 1.8e-10, -0.9e-10, -0.9e-10]), 2, 2)
+
+    def test_rank_profile(self):
+        assert rank_profile(self.STATE) == RankProfile(2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda st: araki_lieb_renyi(st, 2.0),
+            check_saturation_conditions,
+            eof_lower_bound,
+            lambda st: reof_lower_bound(st, 2.0),
+        ],
+        ids=["araki_lieb", "saturation", "eof", "reof"],
+    )
+    def test_returns(self, op):
+        op(self.STATE)

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrenyi.errors import DimensionMismatch
-from qrenyi.linalg import hermitian_part, max_abs, partial_trace, support_of, tensor
+from qrenyi.linalg import (
+    check_hermitian,
+    hermitian_part,
+    max_abs,
+    partial_trace,
+    support_of,
+    tensor,
+)
 from qrenyi.states import (
     BipartiteState,
     check_density,
@@ -161,6 +170,21 @@ class TestBipartite:
         st = BipartiteState(mat, 2, 2)
         np.testing.assert_array_equal(st.mat, hermitian_part(mat))
         assert max_abs(st.spectrum.reconstruct() - st.mat) < 1e-14
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_marginals_are_exactly_hermitian(self, dim_a, dim_b, seed):
+        # partial traces of the symmetrized matrix: each is its own adjoint,
+        # so check_hermitian would return it unchanged, and it is decomposed
+        # bare; the input's asymmetry is inside the tolerance
+        rng = np.random.default_rng(seed)
+        d = dim_a * dim_b
+        skew = 1e-13 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rho = random_density(d, int(rng.integers(1, d + 1)), rng) + skew
+        state = BipartiteState(rho, dim_a, dim_b)
+        for marginal in (state.marginal_a(), state.marginal_b()):
+            assert np.array_equal(marginal, marginal.conj().T)
+            assert check_hermitian(marginal).tobytes() == marginal.tobytes()
 
     def test_marginals_of_product(self):
         rho_a = random_density(2, 2, 1)
