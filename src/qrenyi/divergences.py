@@ -100,12 +100,24 @@ def classify_supports(rho: np.ndarray, sigma: np.ndarray) -> str:
 
 
 def _classified_spectra(rho, sigma):
-    """``(rho, sigma, their spectra, support case, overlaps)``, with rho and
-    sigma checked positive and symmetrized (callers form operators from
-    these); the overlaps ``c_ij = |<v_i|w_j>|^2`` of the eigenvectors are 0
-    off the two supports.  On stacks of pairs the case is an array."""
-    rho_m, spec_rho = _checked_positive(rho)
-    sig_m, spec_sig = _checked_positive(sigma)
+    """:func:`_classified` of rho and sigma, each checked positive and
+    symmetrized by :func:`linalg._checked_positive`: the public entries'
+    classification of their arguments."""
+    return _classified(_checked_positive(rho), _checked_positive(sigma))
+
+
+def _classified(rho_pair, sigma_pair):
+    """``(rho, sigma, their spectra, support case, overlaps)`` from the
+    ``(matrix, spectrum)`` pairs of rho and sigma: checked ones for a
+    caller's arguments, ``(m, _bare_eig(m))`` for an operator formed from
+    checked input.  Callers form further operators from the two matrices;
+    the overlaps ``c_ij = |<v_i|w_j>|^2`` of the eigenvectors are 0 off the
+    two supports.
+    On stacks of pairs the case is an array.  DimensionMismatch where rho
+    and sigma differ in shape."""
+    (rho_m, spec_rho), (sig_m, spec_sig) = rho_pair, sigma_pair
+    if rho_m.shape != sig_m.shape:
+        raise DimensionMismatch(f"rho is {rho_m.shape}, sigma is {sig_m.shape}")
     keep_rho, keep_sig = spec_rho.support_mask(), spec_sig.support_mask()
     # tr(P_rho P_sigma) and tr(P_rho) - tr(P_rho P_sigma) from the support bases
     cross = np.abs(spec_rho.eigenvectors.conj().mT @ spec_sig.eigenvectors) ** 2
@@ -217,20 +229,36 @@ def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     alpha = 1e-300.  The trace power is summed in the log domain, so large
     orders do not overflow.
     """
-    if alpha == 1.0:
-        return qre(rho, sigma)
-    value, case = _srd_values(as_complex_matrix(rho), as_complex_matrix(sigma), alpha)
-    return DivergenceValue(float(value), case)
+    return _srd(_classified_spectra(*map(as_complex_matrix, (rho, sigma))), alpha)
 
 
-def _srd_values(rho: np.ndarray, sigma: np.ndarray, alpha: float):
-    """``(value, support case)`` of :func:`srd` at alpha != 1, per pair on
-    stacks ``(..., d, d)`` of pairs; ``inf`` where the case leaves the
-    functional undefined."""
-    order = RenyiOrder(alpha)
-    rho_m, _, _, spec_sig, case, _ = _classified_spectra(rho, sigma)
+def _srd(pair, alpha: float) -> DivergenceValue:
+    """:func:`srd` of a :func:`_classified` pair; at alpha = 1 the relative
+    entropy ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two
+    spectra, PrecisionLoss for a rho with empty support."""
+    if alpha != 1.0:
+        value, case = _srd_values(pair, alpha)
+        return DivergenceValue(float(value), case)
+    _, _, spec_rho, spec_sig, case, c = pair
+    if case != CONTAINED:
+        return DivergenceValue(math.inf, case)
+    lam, mu = spec_rho.eigenvalues, spec_sig.eigenvalues
+    keep = spec_rho.support_mask()
+    _require_support(keep, 1.0)
+    log_mu = np.log2(mu, out=np.zeros_like(mu), where=spec_sig.support_mask())
+    cross = float(np.sum(lam[:, None] * c * log_mu))
+    ent = -float(_spectrum_entropy(lam, 1.0, keep))
+    # normalized as for a unit-trace rho; the factor is 1 for states
+    return DivergenceValue((ent - cross) / float(np.sum(lam[keep])), case)
+
+
+def _srd_values(pair, alpha: float):
+    """``(value, support case)`` of :func:`srd` at alpha != 1 from a
+    :func:`_classified` pair, per pair on stacks ``(..., d, d)`` of pairs;
+    ``inf`` where the case leaves the functional undefined."""
+    rho_m, _, _, spec_sig, case, _ = pair
     undefined = _undefined(alpha, case)[..., None]
-    x = _sandwich(spec_sig, order.gamma, rho_m)[1]
+    x = _sandwich(spec_sig, RenyiOrder(alpha).gamma, rho_m)[1]
     # undefined pairs get a unit spectrum, so only defined ones can raise
     lam = np.where(undefined, 1.0, x.eigenvalues)
     log_q = _log2_trace_power(lam, alpha, x.support_mask() | undefined)[0]
@@ -263,20 +291,9 @@ def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
 
 
 def qre(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:
-    """Relative entropy ``tr(rho (log rho - log sigma))`` in bits, as
-    ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two spectra;
-    PrecisionLoss for a rho with empty support."""
-    _, _, spec_rho, spec_sig, case, c = _classified_spectra(rho, sigma)
-    if case != CONTAINED:
-        return DivergenceValue(math.inf, case)
-    lam, mu = spec_rho.eigenvalues, spec_sig.eigenvalues
-    keep = spec_rho.support_mask()
-    _require_support(keep, 1.0)
-    log_mu = np.log2(mu, out=np.zeros_like(mu), where=spec_sig.support_mask())
-    cross = float(np.sum(lam[:, None] * c * log_mu))
-    ent = -float(_spectrum_entropy(lam, 1.0, keep))
-    # normalized as for a unit-trace rho; the factor is 1 for states
-    return DivergenceValue((ent - cross) / float(np.sum(lam[keep])), case)
+    """Relative entropy ``tr(rho (log rho - log sigma))`` in bits: the
+    order-1 :func:`srd`; PrecisionLoss for a rho with empty support."""
+    return srd(rho, sigma, 1.0)
 
 
 def d_max(rho: np.ndarray, sigma: np.ndarray) -> DivergenceValue:

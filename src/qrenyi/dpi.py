@@ -14,12 +14,13 @@ import numpy as np
 from .channels import QuantumChannel, apply, apply_adjoint, stinespring
 from .divergences import (
     DivergenceValue,
+    _classified,
     _classified_spectra,
     _critical_observable,
     _require_defined,
     _sandwich,
+    _srd,
     _srd_values,
-    srd,
 )
 from .errors import DimensionMismatch
 from .linalg import (
@@ -94,9 +95,13 @@ class RecoveryMap:
 def dpi_check(
     rho: np.ndarray, sigma: np.ndarray, channel: QuantumChannel, alpha: float
 ) -> DpiReport:
-    """Evaluate both sides of the processing inequality at order alpha."""
-    lhs = srd(rho, sigma, alpha)
-    rhs = srd(apply(channel, rho), apply(channel, sigma), alpha)
+    """Evaluate both sides of the processing inequality at order alpha.
+
+    rho and sigma are checked once; their images, formed from the checked
+    pair, are classified bare."""
+    pair = _classified_spectra(as_complex_matrix(rho), as_complex_matrix(sigma))
+    images = (hermitian_part(apply(channel, m)) for m in pair[:2])
+    lhs, rhs = _srd(pair, alpha), _srd(_bare_pair(*images), alpha)
     if lhs.is_finite and rhs.is_finite:
         gap = lhs.value - rhs.value
     elif not lhs.is_finite and rhs.is_finite:
@@ -233,13 +238,19 @@ class ViolationSearchResult:
     trials: int
 
 
+def _bare_pair(rho, sigma):
+    """:func:`divergences._classified` of two operators formed from checked
+    input, each decomposed bare; per pair on stacks."""
+    return _classified((rho, _bare_eig(rho)), (sigma, _bare_eig(sigma)))
+
+
 def _two_qubit_gap(rho_ab, sigma_ab, alpha) -> np.ndarray:
     """Partial-trace gaps ``D(rho_AB||sigma_AB) - D(rho_A||sigma_A)`` per
-    pair on stacks of two-qubit pairs; ``inf`` where either side diverges."""
-    lhs, _ = _srd_values(rho_ab, sigma_ab, alpha)
-    rho_a = partial_trace(rho_ab, 2, 2, keep="A")
-    sigma_a = partial_trace(sigma_ab, 2, 2, keep="A")
-    rhs, _ = _srd_values(rho_a, sigma_a, alpha)
+    pair on stacks of two-qubit pairs, which the search forms symmetrized
+    from its own factors; ``inf`` where either side diverges."""
+    lhs, _ = _srd_values(_bare_pair(rho_ab, sigma_ab), alpha)
+    marginals = (partial_trace(m, 2, 2, keep="A") for m in (rho_ab, sigma_ab))
+    rhs, _ = _srd_values(_bare_pair(*marginals), alpha)
     finite = np.isfinite(lhs) & np.isfinite(rhs)
     return np.subtract(lhs, rhs, out=np.full_like(lhs, math.inf), where=finite)
 
@@ -397,7 +408,10 @@ def fuchs_caves_observable(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def _fuchs_caves(rho: np.ndarray, sigma_spec) -> np.ndarray:
     """:func:`fuchs_caves_observable` on a Hermitian rho and a decomposed
-    sigma; the sandwich's floor is rho's positivity check."""
+    sigma; the sandwich's floor is rho's positivity check.  DimensionMismatch
+    where rho and sigma differ in shape."""
+    if rho.shape != (shape := sigma_spec.eigenvectors.shape):
+        raise DimensionMismatch(f"rho is {rho.shape}, sigma is {shape}")
     x = _psd_floor(_sandwich(sigma_spec, 0.5, rho)[1])
     isq = sigma_spec.on_support(lambda lam: lam**-0.5)
     return hermitian_part(isq @ x.on_support(lambda lam: lam**0.5) @ isq)

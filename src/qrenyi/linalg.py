@@ -5,16 +5,17 @@ Everything here operates on plain ``numpy.ndarray`` values of dtype
 evaluated spectrally and restricted to the support of the operator, with a
 relative eigenvalue cutoff separating "zero" from "nonzero" modes.
 
-One rule for every decomposition.  The matrices a call must validate (each
-caller's matrix argument, a ``BipartiteState``'s matrix, when the state is
-made, and every pair that ``divergences._classified_spectra`` classifies)
-are checked once: by :func:`_checked_positive` (finite, Hermitian, the
-negative floor), or by :func:`check_hermitian` alone where no spectrum is
-needed; both return the symmetrized matrix, never the raw one (LAPACK
-reads only its lower triangle).  What the library forms from it only to
-take a function of it (a state's marginals, channel images, sandwiches)
-goes through :func:`_bare_eig`, with no check.  Eigenvectors are phased
-(:meth:`Spectrum.phased`) only where they leave the library:
+One rule for every decomposition: what is checked is what a caller
+passes.  Each caller's matrix argument, and a ``BipartiteState``'s matrix
+when the state is made, is checked once: by :func:`_checked_positive`
+(finite, Hermitian, the negative floor), or by :func:`check_hermitian`
+alone where no spectrum is needed; both return the symmetrized matrix,
+never the raw one (LAPACK reads only its lower triangle).  What the
+library forms from checked matrices only to take a function of it (a
+state's marginals, channel images, the violation search's Gram stacks,
+sandwiches) goes through :func:`_bare_eig`, with no check; a pair of
+either kind is classified by ``divergences._classified``.  Eigenvectors
+are phased (:meth:`Spectrum.phased`) only where they leave the library:
 :func:`hermitian_eig`, ``states.purify``, ``channels.measurement_channel``
 and ``entanglement.reof_minimize``'s ensemble.
 

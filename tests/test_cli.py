@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrenyi import cli, dpi, entanglement
-from qrenyi.channels import amplitude_damping, unitary_channel
+from qrenyi.channels import amplitude_damping, partial_trace_channel, unitary_channel
 from qrenyi.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -463,6 +463,33 @@ class TestExitCodes:
         )
         capsys.readouterr()
         assert code == EXIT_PRECONDITION
+
+    def test_shape_mismatch_is_a_precondition_violation(self, capsys, workdir):
+        _, write = workdir
+        rho = write("rho.json", matrix_to_doc(random_density(2, 2, 5), "state"))
+        sig = write("sig.json", matrix_to_doc(random_density(3, 3, 6), "state"))
+        code = main(
+            ["divergence", "--kind", "srd", "--rho", rho, "--sigma", sig, "--alpha", "2"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_PRECONDITION
+        assert "(2, 2)" in err and "(3, 3)" in err
+
+    def test_equality_accepts_a_pair_whose_image_dips_below_the_floor(
+        self, capsys, workdir
+    ):
+        # the image's eigenvalue -1.44e-9 is roundoff of an accepted rho
+        _, write = workdir
+        rho = np.diag([1 / 16] * 16 + [-0.9e-10] * 16).astype(complex)
+        args = {
+            "--rho": write("rho.json", matrix_to_doc(rho, "positive")),
+            "--sigma": write("sig.json", matrix_to_doc(maximally_mixed(32), "state")),
+            "--channel": write("ch.json", channel_to_doc(partial_trace_channel(2, 16))),
+        }
+        argv = ["equality", "--alpha", "2"] + [x for kv in args.items() for x in kv]
+        code, out = _run(capsys, argv)
+        assert code == EXIT_OK
+        assert out["gap"] == 0.0 and out["verdict"] == "equal"
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_violation_search_without_trials(self, capsys, trials):

@@ -880,6 +880,28 @@ class TestSrdProperties:
         slack = (math.log2(1.0 / lam.min()) - want) / 99.0
         assert want - slack - tol <= srd(rho, sig, 100.0).value <= want + tol
 
+    @property_settings
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+        st.just(1.0) | st.floats(0.5, 5.0),
+    )
+    def test_additive_over_products(self, d1, d2, seed, alpha):
+        # the sandwich, and the Petz trace, factor over rho1 (x) rho2 against
+        # sigma1 (x) sigma2; below order 1/2 srd is not additive (ROADMAP
+        # item 1), so the property starts at 1/2
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (random_density(d, int(rng.integers(1, d + 1)), rng), random_density(d, d, rng))
+            for d in (d1, d2)
+        ]
+        (r1, s1), (r2, s2) = pairs
+        for div in (srd, rre):
+            whole = div(tensor(r1, r2), tensor(s1, s2), alpha).value
+            parts = div(r1, s1, alpha).value + div(r2, s2, alpha).value
+            assert abs(whole - parts) <= 1e-10 * max(1.0, abs(whole))
+
 
 def _petz_conditional(rho_ab, dim_a, dim_b, alpha):
     """Petz conditional entropy ``a/(1-a) log2 tr[(tr_A rho^a)^(1/a)]``

@@ -6,15 +6,22 @@ package's own error.  Matrices with no positivity contract (observables,
 Kraus operators, unitaries, the argument of ``hermitian_eig``) are not
 listed.  A second table checks that what passes the check is what the
 function works on: an asymmetry inside the tolerance changes no result.
-A third checks that no function taking a ``BipartiteState`` checks its
-matrix again, or its marginals: the state was checked when it was made,
-and a function checks only the states it makes itself.
+A third checks that what is checked is what a caller passes: every call
+above, on valid input, checks only the arrays it is handed, and no
+function taking a ``BipartiteState`` checks its matrix again, or its
+marginals; a function checks only the states it makes itself.  A fourth
+checks that a rho and a sigma of different shapes raise DimensionMismatch.
 """
 
 import numpy as np
 import pytest
 
-from qrenyi.channels import amplitude_damping, identity_channel, measurement_channel
+from qrenyi.channels import (
+    amplitude_damping,
+    identity_channel,
+    measurement_channel,
+    random_channel,
+)
 from qrenyi.divergences import (
     classify_supports,
     conditional_entropy,
@@ -49,7 +56,12 @@ from qrenyi.entanglement import (
     reof_lower_bound,
     reof_minimize,
 )
-from qrenyi.errors import NegativeEigenvalue, NonFiniteInput, NonHermitianInput
+from qrenyi.errors import (
+    DimensionMismatch,
+    NegativeEigenvalue,
+    NonFiniteInput,
+    NonHermitianInput,
+)
 from qrenyi.linalg import (
     fidelity,
     hermitian_part,
@@ -164,10 +176,16 @@ def test_bad_matrix_raises_the_package_error(call, bad):
 SKEW = np.array([[0.5, 0.5 + 2.4e-10], [0.5 - 2.4e-10, 0.5]], dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
 IDENTITY = identity_channel(2)
+#: A channel whose images of SKEW's two readings differ past the last bit.
+MIXING = random_channel(2, 2, 2, 5)
 
 
 def _ops(cert):
     return np.array([cert.lhs_operator, cert.rhs_operator])
+
+
+def _sides(report):
+    return np.array([report.lhs.value, report.rhs.value])
 
 
 # (function and argument, call returning an array of results); alpha = 0.75
@@ -193,6 +211,8 @@ WORKS_ON_CHECKED = {
     "check_saturation_conditions":
         lambda m: check_saturation_conditions(_state(m)).residual,
     "fe_equality_check": lambda m: fe_equality_check(m, CHANNEL).bound_gap,
+    "dpi_check-rho": lambda m: _sides(dpi_check(m, GOOD, MIXING, 0.75)),
+    "dpi_check-sigma": lambda m: _sides(dpi_check(GOOD, m, MIXING, 0.75)),
 }
 
 
@@ -220,7 +240,7 @@ STATE_CALLS = {
 
 #: The states a call makes itself, each checked when made: duality_gap's
 #: rho_AC and reof_lower_bound's swap.
-STATES_MADE = {"duality_gap-2": 1, "duality_gap-1": 1, "reof_lower_bound": 1}
+STATES_MADE = {"duality_gap": 1, "reof_lower_bound": 1}
 
 
 @pytest.mark.parametrize("call", STATE_CALLS)
@@ -233,4 +253,56 @@ def test_state_matrix_is_checked_only_when_made(call, count_calls):
     assert not [
         a for (a, *_) in checks if a.shape == st.mat.shape and np.array_equal(a, st.mat)
     ]
-    assert len(checks) == STATES_MADE.get(call, 0)
+    assert len(checks) == STATES_MADE.get(call.split("-")[0], 0)
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_checks_only_what_the_call_hands_over(call, count_calls):
+    # a full-rank 2x2 state, valid in every argument of the table
+    import qrenyi.linalg as linalg
+
+    m = random_density(2, 2, 619)
+    handed = [m, GOOD, GOOD_AB, _ab(m), np.eye(2) - m]
+    checks = count_calls(linalg, "check_hermitian")
+    CALLS[call](m)
+    made = [
+        a for (a, *_) in checks
+        if not any(a.shape == h.shape and np.array_equal(a, h) for h in handed)
+    ]
+    assert len(made) == STATES_MADE.get(call, 0)
+
+
+_PAIR_2 = random_density(2, 2, 620)
+_PAIR_3 = random_density(3, 3, 621)
+_PAIR_4, _PAIR_6 = random_density(4, 4, 622), random_density(6, 6, 623)
+
+#: Every function that takes a rho and a sigma, on a 2x2 rho and a 3x3
+#: sigma (4x4 and 6x6 for the partial-trace route)
+SHAPE_CALLS = {
+    "srd": lambda r, s: srd(r, s, 2.0),
+    "rre": lambda r, s: rre(r, s, 2.0),
+    "qre": qre,
+    "d_max": d_max,
+    "q_tilde": lambda r, s: q_tilde(r, s, 2.0),
+    "h_hat": lambda r, s: h_hat(r, s, 2.0),
+    "classify_supports": classify_supports,
+    "dpi_check": lambda r, s: dpi_check(r, s, CHANNEL, 2.0),
+    "equality_residual": lambda r, s: equality_residual(r, s, CHANNEL, 2.0),
+    "equality_residual_stinespring":
+        lambda r, s: equality_residual_stinespring(r, s, CHANNEL, 2.0),
+    "equality_residual_partial_trace":
+        lambda r, s: equality_residual_partial_trace(r, s, 2, 2, 2.0),
+    "fidelity_attaining_povm": fidelity_attaining_povm,
+    "fuchs_caves_observable": fuchs_caves_observable,
+}
+
+
+@pytest.mark.parametrize("call", SHAPE_CALLS)
+def test_shape_mismatch_raises_naming_both_shapes(call):
+    rho, sigma = (
+        (_PAIR_4, _PAIR_6) if call == "equality_residual_partial_trace"
+        else (_PAIR_2, _PAIR_3)
+    )
+    with pytest.raises(DimensionMismatch) as err:
+        SHAPE_CALLS[call](rho, sigma)
+    assert str(rho.shape) in str(err.value) and str(sigma.shape) in str(err.value)
