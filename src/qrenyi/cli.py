@@ -37,7 +37,7 @@ from .entanglement import (
 )
 from .errors import QRenyiError, UnknownSuite
 from .linalg import max_abs
-from .states import BipartiteState, check_density, check_positive
+from .states import BipartiteState, _require_unit_trace, check_positive
 from .suites import run_suite
 
 EXIT_OK = 0
@@ -106,7 +106,9 @@ def channel_to_doc(channel: QuantumChannel) -> dict:
 
 
 def parse_matrix_doc(doc: dict):
-    """Parse a MatrixFile document into a matrix (plus dims) or a channel."""
+    """Parse a MatrixFile document into a channel or ``(matrix, state)``:
+    the checked matrix, and the ``BipartiteState`` made of it where the
+    document carries dims (None otherwise), checked once, when made."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise MatrixFileError("document must be an object with a 'kind' field")
     kind = doc["kind"]
@@ -137,10 +139,12 @@ def parse_matrix_doc(doc: dict):
     except (TypeError, ValueError) as exc:
         raise MatrixFileError(f"malformed matrix arrays: {exc}") from exc
     try:
-        mat = check_density(mat) if kind == "state" else check_positive(mat)
+        state = BipartiteState(mat, *dims) if dims else None
+        mat = check_positive(mat) if state is None else state.mat
+        mat = _require_unit_trace(mat) if kind == "state" else mat
     except (QRenyiError, ValueError) as exc:
         raise MatrixFileError(f"invalid {kind} matrix: {exc}") from exc
-    return mat, dims
+    return mat, state
 
 
 def load_doc(path: str):
@@ -172,7 +176,7 @@ def _load_bipartite(path: str) -> BipartiteState:
     obj = load_doc(path)
     if isinstance(obj, QuantumChannel) or obj[1] is None:
         raise MatrixFileError(f"{path} must carry dimA/dimB for this command")
-    return BipartiteState(obj[0], *obj[1])
+    return obj[1]
 
 
 # ---------------------------------------------------------------------------

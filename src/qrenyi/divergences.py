@@ -27,7 +27,6 @@ from .linalg import (
     Spectrum,
     _bare_eig,
     _checked_positive,
-    as_complex_matrix,
     hermitian_part,
     max_abs,
     # unused here, but kept bound: bench/tracer.py wraps ``divergences.minimize``
@@ -229,7 +228,7 @@ def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
     alpha = 1e-300.  The trace power is summed in the log domain, so large
     orders do not overflow.
     """
-    return _srd(_classified_spectra(*map(as_complex_matrix, (rho, sigma))), alpha)
+    return _srd(_classified_spectra(rho, sigma), alpha)
 
 
 def _srd(pair, alpha: float) -> DivergenceValue:

@@ -27,7 +27,6 @@ from .linalg import (
     _bare_eig,
     _checked_positive,
     _psd_floor,
-    as_complex_matrix,
     check_hermitian,
     hermitian_part,
     max_abs,
@@ -99,7 +98,7 @@ def dpi_check(
 
     rho and sigma are checked once; their images, formed from the checked
     pair, are classified bare."""
-    pair = _classified_spectra(as_complex_matrix(rho), as_complex_matrix(sigma))
+    pair = _classified_spectra(rho, sigma)
     images = (hermitian_part(apply(channel, m)) for m in pair[:2])
     lhs, rhs = _srd(pair, alpha), _srd(_bare_pair(*images), alpha)
     if lhs.is_finite and rhs.is_finite:
@@ -194,10 +193,9 @@ def petz_recovery(sigma: np.ndarray, channel: QuantumChannel) -> RecoveryMap:
     support and reverses the channel on sigma.  The output anchor, formed
     from the checked sigma, is decomposed bare.
     """
-    sig = as_complex_matrix(sigma)
+    sig, spec = _checked_positive(sigma)
     if sig.shape != (channel.dim_in, channel.dim_in):
         raise DimensionMismatch("sigma does not match the channel input")
-    sig, spec = _checked_positive(sig)
     sqrt_sig = spec.on_support(lambda lam: lam**0.5)
     out = apply(channel, sig)
     inv_sqrt_out = _bare_eig(out).on_support(lambda lam: lam**-0.5)

@@ -6,18 +6,22 @@ evaluated spectrally and restricted to the support of the operator, with a
 relative eigenvalue cutoff separating "zero" from "nonzero" modes.
 
 One rule for every decomposition: what is checked is what a caller
-passes.  Each caller's matrix argument, and a ``BipartiteState``'s matrix
-when the state is made, is checked once: by :func:`_checked_positive`
-(finite, Hermitian, the negative floor), or by :func:`check_hermitian`
-alone where no spectrum is needed; both return the symmetrized matrix,
-never the raw one (LAPACK reads only its lower triangle).  What the
-library forms from checked matrices only to take a function of it (a
-state's marginals, channel images, the violation search's Gram stacks,
-sandwiches) goes through :func:`_bare_eig`, with no check; a pair of
-either kind is classified by ``divergences._classified``.  Eigenvectors
-are phased (:meth:`Spectrum.phased`) only where they leave the library:
-:func:`hermitian_eig`, ``states.purify``, ``channels.measurement_channel``
-and ``entanglement.reof_minimize``'s ensemble.
+passes.  A caller's argument is one matrix, and :func:`check_hermitian`,
+the one place that decides it, rejects anything else with
+DimensionMismatch.  Each caller's matrix argument, and a
+``BipartiteState``'s matrix when the state is made, is checked once: by
+:func:`_checked_positive` (finite, Hermitian, the negative floor), or by
+:func:`check_hermitian` alone where no spectrum is needed; both return the
+symmetrized matrix, never the raw one (LAPACK reads only its lower
+triangle).  What the library forms from checked matrices only to take a
+function of it (a state's marginals, channel images, sandwiches) goes
+through :func:`_bare_eig`, with no check; a pair of either kind is
+classified by ``divergences._classified``.  Stacks ``(..., d, d)`` are the
+library's own (the violation search's Gram stacks) and are decomposed
+bare.  Eigenvectors are phased (:meth:`Spectrum.phased`) only where they
+leave the library: :func:`hermitian_eig`, ``states.purify``,
+``channels.measurement_channel`` and ``entanglement.reof_minimize``'s
+ensemble.
 
 Index convention: tensor products are A-major (``kron(A, B)`` row-major),
 and all partial traces assume that layout.
@@ -57,7 +61,8 @@ class Spectrum:
     ``eigenvalues`` are real and ascending along the last axis;
     ``eigenvectors`` holds the matching orthonormal eigenvectors as columns.
     Supports, and functions of the operator on its support, are all read
-    from here, per matrix on stacks (``supported`` needs one matrix).
+    from here; ``reconstruct``, ``support_mask`` and ``on_support`` act per
+    matrix on stacks, ``supported`` and ``phased`` need one matrix.
     """
 
     eigenvalues: np.ndarray
@@ -91,11 +96,8 @@ class Spectrum:
         entry made real positive: deterministic eigenvectors to hand out."""
         v = self.eigenvectors
         if v.size:
-            rows = np.argmax(np.abs(v), axis=-2)
-            # the columns of all matrices as rows of one 2-D array
-            cols = v.mT.reshape(-1, v.shape[-1])
-            anchors = cols[np.arange(rows.size), rows.ravel()].reshape(rows.shape)
-            v = v * (anchors.conjugate() / np.abs(anchors))[..., None, :]
+            anchors = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+            v = v * (anchors.conjugate() / np.abs(anchors))
         return Spectrum(self.eigenvalues, v)
 
 
@@ -119,28 +121,22 @@ def as_complex_matrix(a) -> np.ndarray:
 def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate hermiticity and return the symmetrized matrix.
 
-    Works per matrix on a stack ``(..., d, d)``.  Raises NonFiniteInput
+    Raises DimensionMismatch for anything but one matrix, NonFiniteInput
     when an entry is NaN or infinite, and NonHermitianInput when
     ``max|A - A^dag|`` exceeds ``HERMITICITY_TOL`` times the max-entry
     magnitude of A.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if m.shape[-1] != m.shape[-2]:
+    m = as_complex_matrix(a)
+    if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix is not square: shape {m.shape}")
     # NaN and inf propagate to the max, and are caught before A - A^dag warns
-    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    if not np.isfinite(scale).all():
+    if not np.isfinite(scale := max_abs(m)):
         raise NonFiniteInput("matrix has a NaN or infinite entry")
-    adj = m.conj().mT
-    defect = np.abs(m - adj).max(axis=(-2, -1), initial=0.0)
-    bad = defect > HERMITICITY_TOL * np.maximum(scale, 1e-300)
-    if bad.any():
-        i = bad.argmax()
+    adj = m.conj().T
+    if (defect := max_abs(m - adj)) > HERMITICITY_TOL * max(scale, 1e-300):
         raise NonHermitianInput(
-            f"hermiticity defect {defect.flat[i]:.3e} exceeds "
-            f"{HERMITICITY_TOL:.1e} x {scale.flat[i]:.3e}"
+            f"hermiticity defect {defect:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e} x {scale:.3e}"
         )
     return 0.5 * (m + adj)
 
@@ -157,25 +153,21 @@ def _bare_eig(h: np.ndarray) -> Spectrum:
 
 def hermitian_eig(h: np.ndarray) -> Spectrum:
     """Checked (finite, Hermitian, then symmetrized) eigendecomposition of
-    a matrix, or of each matrix of a stack ``(..., d, d)``, with ascending
-    eigenvalues and :meth:`Spectrum.phased` eigenvectors."""
+    a matrix, with ascending eigenvalues and :meth:`Spectrum.phased`
+    eigenvectors."""
     return _bare_eig(check_hermitian(h)).phased()
 
 
 def _psd_floor(spec: Spectrum) -> Spectrum:
     """``spec``; NegativeEigenvalue for an eigenvalue below the floor
-    ``-SUPPORT_CUTOFF * max(1, |lambda|_max)`` (roundoff of 0 above it),
-    per matrix on stacks."""
+    ``-SUPPORT_CUTOFF * max(1, |lambda|_max)`` (roundoff of 0 above it)."""
     ev = spec.eigenvalues
-    # every floor lies at or below -SUPPORT_CUTOFF
-    if ev.min(initial=0.0) < -SUPPORT_CUTOFF:
-        low = ev[..., 0]  # ascending
-        floor = -SUPPORT_CUTOFF * np.abs(ev).max(axis=-1, initial=1.0)
-        bad = low < floor
-        if bad.any():
-            i = bad.argmax()
+    # the floor lies at or below -SUPPORT_CUTOFF
+    if (low := ev.min(initial=0.0)) < -SUPPORT_CUTOFF:
+        floor = -SUPPORT_CUTOFF * np.abs(ev).max(initial=1.0)
+        if low < floor:
             raise NegativeEigenvalue(
-                f"eigenvalue {low.flat[i]:.3e} below allowed floor {floor.flat[i]:.3e}"
+                f"eigenvalue {low:.3e} below allowed floor {floor:.3e}"
             )
     return spec
 
@@ -188,7 +180,7 @@ def _checked_positive(a: np.ndarray):
 
 
 def positive_spectrum(a: np.ndarray) -> Spectrum:
-    """The checked spectrum of :func:`_checked_positive`, per matrix on stacks."""
+    """The checked spectrum of :func:`_checked_positive`."""
     return _checked_positive(a)[1]
 
 
@@ -248,12 +240,9 @@ def trace_norm(a: np.ndarray) -> float:
 
 def fidelity(omega: np.ndarray, tau: np.ndarray) -> float:
     """Uhlmann fidelity ``|| sqrt(omega) sqrt(tau) ||_1`` of two states."""
-    w = as_complex_matrix(omega)
-    t = as_complex_matrix(tau)
-    if w.shape != t.shape:
-        raise DimensionMismatch(f"shape mismatch {w.shape} vs {t.shape}")
-    sw = matrix_power_on_support(w, 0.5)
-    st = matrix_power_on_support(t, 0.5)
+    sw, st = (matrix_power_on_support(m, 0.5) for m in (omega, tau))
+    if sw.shape != st.shape:
+        raise DimensionMismatch(f"shape mismatch {sw.shape} vs {st.shape}")
     return _root_fidelity(sw, st)
 
 

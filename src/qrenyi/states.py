@@ -47,9 +47,13 @@ def check_positive(a: np.ndarray) -> np.ndarray:
 
 def check_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace."""
-    m = check_positive(rho)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    return _require_unit_trace(check_positive(rho))
+
+
+def _require_unit_trace(m: np.ndarray) -> np.ndarray:
+    """``m``; ValueError where its trace deviates from 1 by more than
+    ``TRACE_TOL``."""
+    if abs((tr := float(np.trace(m).real)) - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
     return m
 

@@ -50,8 +50,9 @@ class TestMatrixFile:
     def test_bipartite_dims(self):
         rho = random_density(6, 6, 78)
         doc = matrix_to_doc(rho, "state", dims=(2, 3))
-        back, dims = parse_matrix_doc(doc)
-        assert dims == (2, 3)
+        back, state = parse_matrix_doc(doc)
+        assert (state.dim_a, state.dim_b) == (2, 3)
+        assert state.mat is back
         assert max_abs(back - rho) == 0.0
 
     def test_channel_round_trip(self):

@@ -10,7 +10,8 @@ A third checks that what is checked is what a caller passes: every call
 above, on valid input, checks only the arrays it is handed, and no
 function taking a ``BipartiteState`` checks its matrix again, or its
 marginals; a function checks only the states it makes itself.  A fourth
-checks that a rho and a sigma of different shapes raise DimensionMismatch.
+checks that a rho and a sigma of different shapes raise DimensionMismatch,
+and so do two stacks.
 """
 
 import numpy as np
@@ -77,17 +78,20 @@ from qrenyi.states import (
     rank_profile,
 )
 
+GOOD = random_density(2, 2, 617)
+GOOD_AB = random_density(4, 4, 618)
+CHANNEL = amplitude_damping(0.3)
+
 #: Bad 2x2 values and the error each raises; a full-rank partner keeps a
 #: negative eigenvalue visible to functions that read rho on supp(sigma).
+#: A stack of two good matrices raises DimensionMismatch: a caller's
+#: argument is one matrix.
 BAD = {
     "nan": (np.array([[np.nan, 0.0], [0.0, 0.5]]), NonFiniteInput),
     "non-hermitian": (np.array([[0.5, 0.3], [0.0, 0.5]]), NonHermitianInput),
     "non-psd": (np.diag([1.2, -0.2]), NegativeEigenvalue),
+    "stack": (np.stack([GOOD, GOOD]), DimensionMismatch),
 }
-
-GOOD = random_density(2, 2, 617)
-GOOD_AB = random_density(4, 4, 618)
-CHANNEL = amplitude_damping(0.3)
 
 
 def _ab(m):
@@ -306,3 +310,13 @@ def test_shape_mismatch_raises_naming_both_shapes(call):
     with pytest.raises(DimensionMismatch) as err:
         SHAPE_CALLS[call](rho, sigma)
     assert str(rho.shape) in str(err.value) and str(sigma.shape) in str(err.value)
+
+
+@pytest.mark.parametrize("call", SHAPE_CALLS)
+def test_stacked_pair_raises_dimension_mismatch(call):
+    rho, sigma = (
+        (GOOD_AB, _PAIR_4) if call == "equality_residual_partial_trace"
+        else (GOOD, _PAIR_2)
+    )
+    with pytest.raises(DimensionMismatch):
+        SHAPE_CALLS[call](np.stack([rho, rho]), np.stack([sigma, sigma]))
