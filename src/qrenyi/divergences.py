@@ -48,7 +48,7 @@ _ANDERSON_DEPTH = 3
 CONTAINED = "contained"
 OVERLAPPING = "overlapping"
 DISJOINT = "disjoint"
-_CASES = np.array([CONTAINED, OVERLAPPING, DISJOINT])
+_CASES = (CONTAINED, OVERLAPPING, DISJOINT)
 
 
 @dataclass(frozen=True)
@@ -111,21 +111,18 @@ def _classified(rho_pair, sigma_pair):
     caller's arguments, ``(m, _bare_eig(m))`` for an operator formed from
     checked input.  Callers form further operators from the two matrices;
     the overlaps ``c_ij = |<v_i|w_j>|^2`` of the eigenvectors are 0 off the
-    two supports.
-    On stacks of pairs the case is an array.  DimensionMismatch where rho
-    and sigma differ in shape."""
+    two supports.  DimensionMismatch where rho and sigma differ in shape."""
     (rho_m, spec_rho), (sig_m, spec_sig) = rho_pair, sigma_pair
     if rho_m.shape != sig_m.shape:
         raise DimensionMismatch(f"rho is {rho_m.shape}, sigma is {sig_m.shape}")
     keep_rho, keep_sig = spec_rho.support_mask(), spec_sig.support_mask()
     # tr(P_rho P_sigma) and tr(P_rho) - tr(P_rho P_sigma) from the support bases
-    cross = np.abs(spec_rho.eigenvectors.conj().mT @ spec_sig.eigenvectors) ** 2
-    supports = keep_rho[..., :, None] & keep_sig[..., None, :]
-    overlap = np.add.reduce(cross, axis=(-2, -1), where=supports)
-    leak = keep_rho.sum(axis=-1) - overlap
+    cross = np.abs(spec_rho.eigenvectors.conj().T @ spec_sig.eigenvectors) ** 2
+    supports = keep_rho[:, None] & keep_sig[None, :]
+    overlap = np.sum(cross, where=supports)
+    leak = keep_rho.sum() - overlap
     code = (leak > SUPPORT_CLASSIFY_TOL) * (1 + (overlap <= SUPPORT_CLASSIFY_TOL))
-    case = _CASES[code] if code.ndim else str(_CASES[code])
-    return rho_m, sig_m, spec_rho, spec_sig, case, cross * supports
+    return rho_m, sig_m, spec_rho, spec_sig, _CASES[code], cross * supports
 
 
 def _sandwich(sigma_spec: Spectrum, p: float, m: np.ndarray):
@@ -136,13 +133,12 @@ def _sandwich(sigma_spec: Spectrum, p: float, m: np.ndarray):
     return s, _bare_eig(s @ m @ s)
 
 
-def _undefined(alpha: float, case):
+def _undefined(alpha: float, case: str) -> bool:
     """Whether the support case leaves the trace functional undefined:
-    alpha > 1 needs supp(rho) in supp(sigma), alpha < 1 overlap.
-    Elementwise on an array of cases."""
+    alpha > 1 needs supp(rho) in supp(sigma), alpha < 1 overlap."""
     if alpha > 1.0:
-        return np.not_equal(case, CONTAINED)
-    return np.equal(case, DISJOINT) & (alpha < 1.0)
+        return case != CONTAINED
+    return alpha < 1.0 and case == DISJOINT
 
 
 def _require_defined(alpha: float, case: str) -> None:
@@ -232,13 +228,14 @@ def srd(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
 
 
 def _srd(pair, alpha: float) -> DivergenceValue:
-    """:func:`srd` of a :func:`_classified` pair; at alpha = 1 the relative
-    entropy ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two
-    spectra, PrecisionLoss for a rho with empty support."""
-    if alpha != 1.0:
-        value, case = _srd_values(pair, alpha)
-        return DivergenceValue(float(value), case)
-    _, _, spec_rho, spec_sig, case, c = pair
+    """:func:`srd` of a :func:`_classified` pair, ``inf`` where the support
+    case leaves it undefined; at alpha = 1 the relative entropy
+    ``sum lam log lam - sum lam_i c_ij log mu_j`` over the two spectra,
+    PrecisionLoss for a rho with empty support."""
+    rho_m, _, spec_rho, spec_sig, case, c = pair
+    # the order is checked before the case: an invalid one raises on any pair
+    if alpha != 1.0 and not _undefined(RenyiOrder(alpha).alpha, case):
+        return DivergenceValue(float(_srd_values(rho_m, spec_sig, alpha)), case)
     if case != CONTAINED:
         return DivergenceValue(math.inf, case)
     lam, mu = spec_rho.eigenvalues, spec_sig.eigenvalues
@@ -251,19 +248,14 @@ def _srd(pair, alpha: float) -> DivergenceValue:
     return DivergenceValue((ent - cross) / float(np.sum(lam[keep])), case)
 
 
-def _srd_values(pair, alpha: float):
-    """``(value, support case)`` of :func:`srd` at alpha != 1 from a
-    :func:`_classified` pair, per pair on stacks ``(..., d, d)`` of pairs;
-    ``inf`` where the case leaves the functional undefined."""
-    rho_m, _, _, spec_sig, case, _ = pair
-    undefined = _undefined(alpha, case)[..., None]
-    x = _sandwich(spec_sig, RenyiOrder(alpha).gamma, rho_m)[1]
-    # undefined pairs get a unit spectrum, so only defined ones can raise
-    lam = np.where(undefined, 1.0, x.eigenvalues)
-    log_q = _log2_trace_power(lam, alpha, x.support_mask() | undefined)[0]
-    tr_rho = rho_m.trace(axis1=-2, axis2=-1).real
-    value = (log_q - _log2(tr_rho)) / (alpha - 1.0)
-    return np.where(undefined[..., 0], math.inf, value), case
+def _srd_values(rho: np.ndarray, sigma_spec: Spectrum, alpha: float):
+    """:func:`srd` at alpha != 1 of rho against sigma's spectrum, per pair on
+    stacks ``(..., d, d)``, for pairs the functional is defined on (the
+    caller decides which); PrecisionLoss where a sandwich keeps nothing."""
+    x = _sandwich(sigma_spec, RenyiOrder(alpha).gamma, rho)[1]
+    log_q = _log2_trace_power(x.eigenvalues, alpha, x.support_mask())[0]
+    tr_rho = rho.trace(axis1=-2, axis2=-1).real
+    return (log_q - _log2(tr_rho)) / (alpha - 1.0)
 
 
 def rre(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> DivergenceValue:
@@ -524,7 +516,8 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     sandwich, the plain or damped candidate and the Anderson candidate are
     operators formed from the checked state, so they are decomposed bare
     (no check, no phase convention); every later use of those spectra is
-    phase-invariant.
+    phase-invariant.  PrecisionLoss for a state with empty support, as at
+    alpha = 1.
     """
     if alpha < 0.5:
         raise ValueError(f"alpha must be >= 1/2, got {alpha}")
@@ -534,6 +527,7 @@ def conditional_renyi(state: BipartiteState, alpha: float):
     rho_ab, dim_a, dim_b = state.mat, state.dim_a, state.dim_b
     rho_b = state.marginal_b()
     spec_b = _bare_eig(rho_b)
+    _require_support(spec_b.support_mask(), alpha)
     r = int(np.sum(spec_b.support_mask()))
 
     def psd_state(m):

@@ -13,6 +13,7 @@ from .divergences import (
     RenyiOrder,
     _check_entropy_order,
     _entropy,
+    _require_support,
     _spectrum_entropy,
     _spectrum_entropy_slope,
     conditional_renyi,
@@ -220,9 +221,11 @@ def reof_minimize(
     L-BFGS-B gets the exact gradient with each value, from the two SVDs an
     evaluation does: the entropy's slope in each member's Schmidt
     coefficients goes back through the members' SVD, then the mixing, then
-    the polar factor's adjoint.
+    the polar factor's adjoint.  PrecisionLoss for a state with empty
+    support.
     """
     check_reof_options(alpha, ensemble_size, restarts)
+    _require_support(state.spectrum.support_mask(), alpha)
     # phased, so the ensemble handed out is deterministic
     lam, vecs = state.spectrum.phased().supported()
     lam, vecs = lam[::-1], vecs[:, ::-1]

@@ -16,12 +16,12 @@ symmetrized matrix, never the raw one (LAPACK reads only its lower
 triangle).  What the library forms from checked matrices only to take a
 function of it (a state's marginals, channel images, sandwiches) goes
 through :func:`_bare_eig`, with no check; a pair of either kind is
-classified by ``divergences._classified``.  Stacks ``(..., d, d)`` are the
-library's own (the violation search's Gram stacks) and are decomposed
-bare.  Eigenvectors are phased (:meth:`Spectrum.phased`) only where they
-leave the library: :func:`hermitian_eig`, ``states.purify``,
-``channels.measurement_channel`` and ``entanglement.reof_minimize``'s
-ensemble.
+classified by ``divergences._classified``, one pair at a time.  Stacks
+``(..., d, d)`` are the library's own (the violation search's sigma and
+sandwich stacks), decomposed bare and never classified.  Eigenvectors are
+phased (:meth:`Spectrum.phased`) only where they leave the library:
+:func:`hermitian_eig`, ``states.purify``, ``channels.measurement_channel``
+and ``entanglement.reof_minimize``'s ensemble.
 
 Index convention: tensor products are A-major (``kron(A, B)`` row-major),
 and all partial traces assume that layout.

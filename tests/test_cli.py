@@ -405,7 +405,71 @@ class TestSuiteCommand:
         assert out["summary"]["violation_alpha"] == 0.35
 
 
+_MIXED = matrix_to_doc(maximally_mixed(2), "state")
+_DAMPING = channel_to_doc(amplitude_damping(0.3))
+_DIVERGENCE = ["divergence", "--kind", "qre", "--rho", "BAD", "--sigma", "GOOD"]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "bad, argv, message",
+        [
+            ([], _DIVERGENCE, "document must be an object with a 'kind' field"),
+            ({"dim": 2}, _DIVERGENCE, "document must be an object with a 'kind'"),
+            ({**_MIXED, "kind": "banana"}, _DIVERGENCE, "unknown kind 'banana'"),
+            (
+                {k: v for k, v in _DAMPING.items() if k != "kraus"},
+                ["sufficiency", "--rho", "GOOD", "--sigma", "GOOD", "--channel", "BAD"],
+                "malformed channel document: 'kraus'",
+            ),
+            (
+                {**_MIXED, "re": ["a", "b", "c", "d"]},
+                _DIVERGENCE,
+                "malformed matrix arrays: could not convert string to float",
+            ),
+            (None, _DIVERGENCE, "cannot read "),
+            (_DAMPING, _DIVERGENCE, "holds a channel, expected a matrix"),
+            (
+                _MIXED,
+                ["sufficiency", "--rho", "GOOD", "--sigma", "GOOD", "--channel", "BAD"],
+                "holds a matrix, expected a channel",
+            ),
+            (
+                _MIXED,
+                ["conditional-entropy", "--state", "BAD"],
+                "must carry dimA/dimB for this command",
+            ),
+            (
+                None,
+                ["suite", "--name", "duality", "--tolerance", "gap"],
+                "--tolerance 'gap' is not KEY=NUMBER",
+            ),
+        ],
+        ids=[
+            "json-list",
+            "no-kind",
+            "unknown-kind",
+            "channel-without-kraus",
+            "non-numeric-re",
+            "missing-file",
+            "channel-for-matrix",
+            "matrix-for-channel",
+            "state-without-dims",
+            "tolerance-without-value",
+        ],
+    )
+    def test_bad_file_or_option(self, capsys, workdir, bad, argv, message):
+        # bad is the document written to BAD, or None to write no file
+        tmp, write = workdir
+        paths = {
+            "GOOD": write("good.json", _MIXED),
+            "BAD": str(tmp / "missing.json") if bad is None else write("bad.json", bad),
+        }
+        code = main([paths.get(arg, arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE_ERROR
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

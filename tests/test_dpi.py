@@ -59,6 +59,7 @@ from qrenyi.linalg import (
     hermitian_eig,
     matrix_power_on_support,
     max_abs,
+    partial_trace,
     tensor,
 )
 from qrenyi.states import (
@@ -87,6 +88,12 @@ def _valid_random_channel(rng, dmax=4):
     while kc * d_out < d_in:
         kc += 1
     return random_channel(d_in, d_out, kc, rng)
+
+
+def _srd_gap(rho_ab, sigma_ab, alpha):
+    """Partial-trace gap of one two-qubit pair through the public ``srd``."""
+    rho_a, sig_a = (partial_trace(m, 2, 2, keep="A") for m in (rho_ab, sigma_ab))
+    return srd(rho_ab, sigma_ab, alpha).value - srd(rho_a, sig_a, alpha).value
 
 
 @functools.cache
@@ -169,6 +176,24 @@ class TestDpiCheck:
             sig = random_density(chan.dim_in, chan.dim_in, rng)
             alpha = ALPHAS[t % len(ALPHAS)]
             assert dpi_check(rho, sig, chan, alpha).gap >= -1e-9
+
+    @pytest.mark.parametrize(
+        "chan, rhs, gap",
+        [
+            (partial_trace_channel(2, 2), 0.9999999999999998, math.inf),
+            (identity_channel(4), math.inf, math.nan),
+        ],
+        ids=["input-side-only", "both-sides"],
+    )
+    def test_infinite_gap_rule(self, chan, rhs, gap):
+        # supp(rho) leaves supp(sigma), so the input side diverges at alpha 2;
+        # tracing out B maps rho into supp(sigma_A), the identity does not
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        sig = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
+        rep = dpi_check(rho, sig, chan, 2.0)
+        assert rep.lhs.value == math.inf and rep.lhs.support_case == "overlapping"
+        assert rep.rhs.value == rhs
+        np.testing.assert_equal(rep.gap, gap)
 
     def test_image_of_a_checked_pair_is_not_checked_again(self):
         # rho's kernel eigenvalues sit inside the negative floor, but their
@@ -453,18 +478,11 @@ class TestViolationSearch:
         with pytest.raises(ValueError, match="at least one trial"):
             dpi_violation_search(0.3, trials=trials, seed=0)
 
-    def test_no_finite_gap_is_a_runtime_error(self, monkeypatch):
-        def no_finite_gap(rho, sig, alpha):
-            return np.full(len(rho), np.inf)
-
-        monkeypatch.setattr("qrenyi.dpi._two_qubit_gap", no_finite_gap)
-        with pytest.raises(RuntimeError, match="no finite gap"):
-            dpi_violation_search(0.3, trials=10, seed=0)
-
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
     def test_batched_gaps_equal_per_pair_gaps(self, monkeypatch, alpha):
         # two stacks, the second one partial: every sampled gap must equal
-        # the gap of its pair evaluated alone, bit for bit
+        # the gap of its pair evaluated alone by the public, classified srd,
+        # bit for bit
         trials, seed = _SEARCH_BATCH + 44, 531
         batched = []
 
@@ -476,7 +494,7 @@ class TestViolationSearch:
         monkeypatch.setattr("qrenyi.dpi._two_qubit_gap", recording_gap)
         res = dpi_violation_search(alpha, trials, seed, refine_steps=0)
         single = [
-            float(_two_qubit_gap(*_states_from_factors(*_draw_factors(seed, t)), alpha))
+            _srd_gap(*_states_from_factors(*_draw_factors(seed, t)), alpha)
             for t in range(trials)
         ]
         assert batched == single
@@ -487,8 +505,8 @@ class TestViolationSearch:
     def test_sampling_decomposes_each_stack_once(self, count_calls):
         calls = count_calls(np.linalg, "eigh")
         dpi_violation_search(0.3, 1000, 532, refine_steps=0)
-        # rho, sigma and the sandwich on each side of the partial trace
-        assert len(calls) == 6 * math.ceil(1000 / _SEARCH_BATCH)
+        # sigma and the sandwich on each side of the partial trace
+        assert len(calls) == 4 * math.ceil(1000 / _SEARCH_BATCH)
 
     @pytest.mark.parametrize(
         "alpha, seed, refine_steps",

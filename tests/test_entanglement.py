@@ -16,6 +16,7 @@ from qrenyi.channels import (
 from qrenyi.divergences import (
     conditional_entropy,
     conditional_renyi,
+    duality_gap,
     renyi_entropy,
     von_neumann_entropy,
 )
@@ -30,7 +31,7 @@ from qrenyi.entanglement import (
     reof_minimize,
     saturating_state,
 )
-from qrenyi.errors import DimensionTooSmall, NegativeEigenvalue
+from qrenyi.errors import DimensionTooSmall, NegativeEigenvalue, PrecisionLoss
 from qrenyi.linalg import fidelity, max_abs, partial_trace, tensor
 from qrenyi.states import (
     BipartiteState,
@@ -462,6 +463,30 @@ class TestNonPositiveState:
     def test_raises_negative_eigenvalue(self, op):
         with pytest.raises(NegativeEigenvalue):
             op(self.BAD)
+
+
+class TestZeroState:
+    """The zero state has empty support: every entropy of it raises
+    PrecisionLoss, at every order, before the fixed point or the minimizer
+    could run on it."""
+
+    ZERO = BipartiteState(np.zeros((4, 4)), 2, 2)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            conditional_renyi,
+            duality_gap,
+            araki_lieb_renyi,
+            lambda st, a: reof_lower_bound(st, a + 1.0),
+            lambda st, a: reof_minimize(st, a, restarts=0),
+        ],
+        ids=["conditional_renyi", "duality_gap", "araki_lieb", "reof_bound", "reof"],
+    )
+    def test_raises_precision_loss(self, op, alpha):
+        with pytest.raises(PrecisionLoss):
+            op(self.ZERO, alpha)
 
 
 class TestRoundoffMarginal:
